@@ -2,7 +2,6 @@
 canonical Galois maps over prime fields."""
 
 from .exactalg import (
-    Fp,
     FpMatrix,
     ShapeError,
     cokernel_basis,

@@ -26,16 +26,15 @@ from .exactalg import (
     FpMatrix,
     ShapeError,
     identity,
-    inverse,
     is_prime,
     kron,
     left_inverse,
-    rank,
     right_inverse,
     swap_matrix,
 )
-from .report import PreconditionError, Report, UnsupportedError
-from .structures import BimonoidData, check_bialgebra
+from .hopfmod import GaloisReport, canonical_map_report
+from .report import Report, UnsupportedError, require
+from .structures import BimonoidData
 
 __all__ = [
     "DuoidalCtx",
@@ -239,32 +238,18 @@ def tau_splitting(ctx: DuoidalCtx) -> dict:
     }
 
 
-def galois_map_Kprime(a: BimonoidData, ctx: DuoidalCtx):
+def galois_map_Kprime(a: BimonoidData, ctx: DuoidalCtx) -> GaloisReport:
     """Base Galois map of the dual comparison (free comodules):
 
         beta': A(x)A -> A(x)A,  a(x)b |-> a1 (x) a2.b
 
     assembled as (I(x)m).(delta(x)I).  Only the braided context is supported.
     """
-    from .hopfmod import GaloisReport
-
     if ctx.tag != BRAIDED_TAG:
         raise UnsupportedError(f"unsupported duoidal context {ctx.tag!r}")
-    pre = check_bialgebra(a)
-    if not pre.ok:
-        raise PreconditionError(f"bimonoid fails: {', '.join(pre.failed_names())}")
-    p, d = a.p, a.dim
-    i = identity(p, d)
-    beta_prime = kron(i, a.m) @ kron(a.delta, i)
-    inv = inverse(beta_prime)
-    if inv is None:
-        return GaloisReport(
-            beta_prime,
-            rank(beta_prime),
-            False,
-            note=f"not Galois: rank {rank(beta_prime)}/{beta_prime.rows}",
-        )
-    return GaloisReport(beta_prime, beta_prime.rows, True, inv)
+    require("bimonoid", a.axioms)
+    i = identity(a.p, a.dim)
+    return canonical_map_report(kron(i, a.m) @ kron(a.delta, i))
 
 
 def entwining_via_ctx(a: BimonoidData, ctx: DuoidalCtx) -> FpMatrix:

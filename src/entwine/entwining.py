@@ -22,15 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import FpMatrix, ShapeError, identity, kron, swap_matrix
-from .report import PreconditionError, Report, UnsupportedError
+from .report import Report, UnsupportedError, require
 from .structures import (
     BimonoidData,
     ComonoidData,
     ComoduleAlgebraData,
     ModuleData,
     MonoidData,
-    check_bialgebra,
-    check_comodule_algebra,
     check_module,
     module_comonoid_of_coalgebra,
     regular_right_module,
@@ -123,9 +121,7 @@ def entwining_from_bimonoid(a: BimonoidData) -> EntwiningData:
 
     Precondition: ``a`` passes check_bialgebra.
     """
-    pre = check_bialgebra(a)
-    if not pre.ok:
-        raise PreconditionError(f"bimonoid fails: {', '.join(pre.failed_names())}")
+    require("bimonoid", a.axioms)
     p, d = a.p, a.dim
     i = identity(p, d)
     lam = kron(i, a.m) @ kron(swap_matrix(p, d, d), i) @ kron(i, a.delta)
@@ -138,15 +134,12 @@ def entwining_from_comodule_monad(
     """Entwining of the left monad B(x)- with the comonad Z(x)- for the free
     module-comonoid Z = A(x)C: b(x)z |-> sigma(b(-1)(x)z) (x) b(0).
 
-    Preconditions: the comodule-algebra axioms, the comonoid axioms and the
-    bialgebra axioms of the base all hold.
+    Preconditions: the comodule-algebra axioms (B a monoid, rho a map of
+    algebras and a coaction), the comonoid axioms and the bialgebra axioms
+    of the base all hold.
     """
-    pre_b = check_comodule_algebra(b)
-    if not pre_b.ok:
-        raise PreconditionError(
-            f"comodule algebra fails: {', '.join(pre_b.failed_names())}"
-        )
-    z = module_comonoid_of_coalgebra(b.over, c)  # re-checks a and c
+    require("comodule algebra", b.axioms)
+    z = module_comonoid_of_coalgebra(b.over, c)  # requires a and c
     p = b.over.p
     da, db, dz = b.over.dim, b.algebra.dim, z.dim
     lam = (
@@ -167,9 +160,7 @@ def lift_comonad(ed: EntwiningData, x: ModuleData) -> ModuleData:
         raise UnsupportedError("lift_comonad is defined for right-side entwinings")
     if x.side != "right":
         raise UnsupportedError("lift_comonad lifts right modules")
-    pre = check_module(x, ed.monoid)
-    if not pre.ok:
-        raise PreconditionError(f"module fails: {', '.join(pre.failed_names())}")
+    require("module", check_module(x, ed.monoid))
     p, dc = ed.p, ed.comonoid.dim
     lifted = kron(x.action, identity(p, dc)) @ kron(identity(p, x.dim), ed.lambda0)
     return ModuleData(x.dim * dc, lifted, "right")

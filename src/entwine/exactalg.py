@@ -17,7 +17,6 @@ this package stay small enough that nothing smarter is warranted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -25,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "ShapeError",
-    "Fp",
     "FpMatrix",
     "identity",
     "zeros",
@@ -80,40 +78,6 @@ def fp_inv(a: int, p: int) -> int:
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
     return s0 % p
-
-
-@dataclass(frozen=True)
-class Fp:
-    """A single element of F_p, always stored reduced."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        _check_modulus(self.p)
-        object.__setattr__(self, "value", int(self.value) % self.p)
-
-    def _match(self, other: "Fp") -> None:
-        if self.p != other.p:
-            raise ShapeError(f"modulus mismatch: {self.p} vs {other.p}")
-
-    def __add__(self, other: "Fp") -> "Fp":
-        self._match(other)
-        return Fp(self.value + other.value, self.p)
-
-    def __sub__(self, other: "Fp") -> "Fp":
-        self._match(other)
-        return Fp(self.value - other.value, self.p)
-
-    def __mul__(self, other: "Fp") -> "Fp":
-        self._match(other)
-        return Fp(self.value * other.value, self.p)
-
-    def __neg__(self) -> "Fp":
-        return Fp(-self.value, self.p)
-
-    def inverse(self) -> "Fp":
-        return Fp(fp_inv(self.value, self.p), self.p)
 
 
 class FpMatrix:
@@ -199,14 +163,15 @@ class FpMatrix:
             )
         # Entries are reduced, so every dot product is bounded by k*(p-1)^2.
         # Below 2^53 the float64 path is exact and uses BLAS; below 2^63 the
-        # int64 path is exact; otherwise fall back to arbitrary precision.
+        # int64 path is exact; otherwise fall back to arbitrary precision,
+        # reduced before the int64 conversion in the constructor.
         bound = self.cols * (self.p - 1) ** 2
         if bound < 2**53:
             prod = (self.a.astype(np.float64) @ other.a.astype(np.float64)).astype(np.int64)
         elif bound < 2**63:
             prod = self.a @ other.a
         else:
-            prod = self.a.astype(object) @ other.a.astype(object)
+            prod = (self.a.astype(object) @ other.a.astype(object)) % self.p
         return FpMatrix(self.p, prod)
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
@@ -223,9 +188,6 @@ class FpMatrix:
 
     def __neg__(self) -> "FpMatrix":
         return FpMatrix(self.p, -self.a)
-
-    def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.p, self.a * (c % self.p))
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix(self.p, self.a.T)

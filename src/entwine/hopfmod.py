@@ -19,8 +19,10 @@ verdict is positive, and a concrete obstruction module when it is not.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .exactalg import (
     FpMatrix,
@@ -31,19 +33,17 @@ from .exactalg import (
     kron,
     left_inverse,
     rank,
+    rref,
     solve,
     swap_matrix,
 )
-from .report import PreconditionError, Report
+from .report import PreconditionError, Report, require
 from .structures import (
     BimonoidData,
     ComonoidData,
     ComoduleAlgebraData,
     ModuleData,
-    check_bialgebra,
-    check_comodule_algebra,
     check_module,
-    check_monoid,
     check_right_comodule,
 )
 from .entwining import EntwiningData, RIGHT, entwining_from_bimonoid
@@ -54,6 +54,7 @@ __all__ = [
     "check_hopf_module",
     "comparison_K",
     "coinvariants",
+    "canonical_map_report",
     "galois_map_beta",
     "galois_map_generalized",
     "verify_fundamental_theorem",
@@ -128,34 +129,19 @@ def check_hopf_module(m: HopfModuleData, ed: EntwiningData) -> Report:
     return r
 
 
-def comparison_K(
-    x_dim: int,
-    a: BimonoidData,
-    ed: Optional[EntwiningData] = None,
-    check: bool = True,
-) -> HopfModuleData:
+def comparison_K(x_dim: int, a: BimonoidData) -> HopfModuleData:
     """Free Hopf module on a dimension: (F^d (x) A, I(x)m, I(x)delta).
 
     In the braided-vect context the trivial-unit comodule structure on the
-    input is unique, so the input really is just a dimension.  With
-    ``check=True`` the result is post-verified through check_hopf_module.
+    input is unique, so the input really is just a dimension.  For a
+    bimonoid the result is always a Hopf module; check_hopf_module decides
+    it when wanted.
     """
     if x_dim < 0:
         raise ShapeError("dimension must be nonnegative")
-    pre = check_bialgebra(a)
-    if not pre.ok:
-        raise PreconditionError(f"bimonoid fails: {', '.join(pre.failed_names())}")
+    require("bimonoid", a.axioms)
     i = identity(a.p, x_dim)
-    out = HopfModuleData(x_dim * a.dim, kron(i, a.m), kron(i, a.delta))
-    if check:
-        if ed is None:
-            ed = entwining_from_bimonoid(a)
-        post = check_hopf_module(out, ed)
-        if not post.ok:
-            raise PreconditionError(
-                f"comparison output fails: {', '.join(post.failed_names())}"
-            )
-    return out
+    return HopfModuleData(x_dim * a.dim, kron(i, a.m), kron(i, a.delta))
 
 
 def coinvariants(m: HopfModuleData, unit: FpMatrix) -> FpMatrix:
@@ -184,6 +170,31 @@ def _antipode_checks(a: BimonoidData, s: FpMatrix) -> Report:
     return r
 
 
+def canonical_map_report(base: FpMatrix) -> GaloisReport:
+    """Galois verdict of an assembled canonical map from one elimination.
+
+    A square map is reduced once as [M | I]: columns are scanned left to
+    right, so the pivots in the left block are exactly those of rref(M),
+    their count is the rank, and at full rank the right block is M^{-1}.
+    A non-square map only has its rank taken.
+    """
+    rows, cols = base.shape
+    if rows != cols:
+        return GaloisReport(
+            base,
+            rank(base),
+            False,
+            note=f"dimension obstruction: source dim {cols} != target dim {rows}",
+        )
+    red, _, pivots = rref(
+        FpMatrix(base.p, np.hstack([base.a, np.eye(rows, dtype=np.int64)]))
+    )
+    r = sum(1 for c in pivots if c < cols)
+    if r < rows:
+        return GaloisReport(base, r, False, note=f"not Galois: rank {r}/{rows}")
+    return GaloisReport(base, rows, True, FpMatrix(base.p, red.a[:, cols:]))
+
+
 def galois_map_beta(a: BimonoidData, want_antipode: bool = True) -> GaloisReport:
     """Canonical map beta = (m(x)I).(I(x)delta): x(x)a |-> x.a1 (x) a2.
 
@@ -191,21 +202,15 @@ def galois_map_beta(a: BimonoidData, want_antipode: bool = True) -> GaloisReport
     extracted and verified against both antipode axioms.  (The extraction
     formula is standard Hopf-theory plumbing, flagged as such in reports.)
     """
-    pre = check_bialgebra(a)
-    if not pre.ok:
-        raise PreconditionError(f"bimonoid fails: {', '.join(pre.failed_names())}")
-    p, d = a.p, a.dim
-    i = identity(p, d)
-    beta = kron(a.m, i) @ kron(i, a.delta)
-    inv = inverse(beta)
-    if inv is None:
-        return GaloisReport(beta, rank(beta), False, note="not Galois: no antipode")
-    antipode = None
-    antipode_ok = None
-    if want_antipode:
-        antipode = kron(i, a.eps) @ inv @ kron(a.e, i)
-        antipode_ok = _antipode_checks(a, antipode).ok
-    return GaloisReport(beta, beta.rows, True, inv, antipode, antipode_ok)
+    require("bimonoid", a.axioms)
+    i = identity(a.p, a.dim)
+    g = canonical_map_report(kron(a.m, i) @ kron(i, a.delta))
+    if not g.invertible:
+        return replace(g, note="not Galois: no antipode")
+    if not want_antipode:
+        return g
+    antipode = kron(i, a.eps) @ g.inverse @ kron(a.e, i)
+    return replace(g, antipode=antipode, antipode_ok=_antipode_checks(a, antipode).ok)
 
 
 def galois_map_generalized(b: ComoduleAlgebraData, c: ComonoidData) -> GaloisReport:
@@ -217,42 +222,15 @@ def galois_map_generalized(b: ComoduleAlgebraData, c: ComonoidData) -> GaloisRep
     dimension obstruction.  By representability this single base matrix
     decides the "isomorphism at every object" condition.
     """
-    pre = check_bialgebra(b.over)
-    if not pre.ok:
-        raise PreconditionError(f"bimonoid fails: {', '.join(pre.failed_names())}")
-    inner = check_comodule_algebra_ok(b)
-    if not inner.ok:
-        raise PreconditionError(
-            f"comodule algebra fails: {', '.join(inner.failed_names())}"
-        )
+    require("bimonoid", b.over.axioms)
+    require("comodule algebra", b.axioms)
     p = b.over.p
     da, db, dc = b.over.dim, b.algebra.dim, c.dim
-    can = (
+    return canonical_map_report(
         kron(identity(p, da * dc), b.algebra.m)
         @ kron(kron(identity(p, da), swap_matrix(p, db, dc)), identity(p, db))
         @ kron(b.rho, identity(p, dc * db))
     )
-    r = rank(can)
-    if can.rows != can.cols:
-        return GaloisReport(
-            can,
-            r,
-            False,
-            note=(
-                f"dimension obstruction: source dim {can.cols} != target dim {can.rows}"
-            ),
-        )
-    inv = inverse(can)
-    if inv is None:
-        return GaloisReport(can, r, False, note=f"not Galois: rank {r}/{can.rows}")
-    return GaloisReport(can, can.rows, True, inv)
-
-
-def check_comodule_algebra_ok(b: ComoduleAlgebraData) -> Report:
-    r = Report("comodule algebra preconditions")
-    r.merge(check_monoid(b.algebra), prefix="algebra ")
-    r.merge(check_comodule_algebra(b))
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +324,7 @@ def verify_fundamental_theorem(
     Equivalence is certified by sampled witnesses, not by abstract
     comonadicity; the report states exactly what was checked.
     """
-    pre = check_bialgebra(a)
-    if not pre.ok:
-        raise PreconditionError(f"bimonoid fails: {', '.join(pre.failed_names())}")
+    require("bimonoid", a.axioms)
     p, da = a.p, a.dim
     ia = identity(p, da)
     rep = Report("fundamental theorem", subject=f"bimonoid of dim {da} over F_{p}")
@@ -371,7 +347,7 @@ def verify_fundamental_theorem(
         rep.data["antipode"] = g.antipode
         rep.add_flag("antipode satisfies both antipode axioms", bool(g.antipode_ok))
         for d in sample_dims:
-            kx = comparison_K(d, a, ed=ed, check=False)
+            kx = comparison_K(d, a)
             rep.add_flag(
                 f"K(F^{d}) is a Hopf module", check_hopf_module(kx, ed).ok
             )

@@ -98,9 +98,11 @@ class InstanceFile:
 def _max_dim() -> int:
     raw = os.environ.get("ENTWINE_MAX_DIM", str(DEFAULT_MAX_DIM))
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return DEFAULT_MAX_DIM
+        cap = -1
+    _require(cap >= 0, f"ENTWINE_MAX_DIM must be a nonnegative integer, got {raw!r}")
+    return cap
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -114,7 +116,7 @@ def _load_matrix(p: int, name: str, decl, warnings: list) -> FpMatrix:
         _require(key in decl, f"map {name!r} is missing {key!r}")
     rows, cols, entries = decl["rows"], decl["cols"], decl["entries"]
     _require(
-        isinstance(rows, int) and isinstance(cols, int) and rows >= 0 and cols >= 0,
+        type(rows) is int and type(cols) is int and rows >= 0 and cols >= 0,
         f"map {name!r} has invalid dimensions",
     )
     _require(isinstance(entries, list), f"map {name!r}: entries must be a list")
@@ -123,7 +125,8 @@ def _load_matrix(p: int, name: str, decl, warnings: list) -> FpMatrix:
         f"map {name!r}: expected {rows * cols} entries, got {len(entries)}",
     )
     _require(
-        all(isinstance(x, int) for x in entries),
+        # type(), not isinstance: JSON true/false load as bool, an int subclass
+        all(type(x) is int for x in entries),
         f"map {name!r}: entries must be integers",
     )
     if any(not 0 <= x < p for x in entries):
@@ -243,7 +246,7 @@ def instance_from_dict(raw: dict, source: str = "<memory>") -> InstanceFile:
     _require(isinstance(objects, dict), "'objects' must be a name -> dimension map")
     cap = _max_dim()
     for name, d in objects.items():
-        _require(isinstance(d, int) and d >= 0, f"object {name!r} has invalid dimension {d!r}")
+        _require(type(d) is int and d >= 0, f"object {name!r} has invalid dimension {d!r}")
         _require(d <= cap, f"object {name!r} has dimension {d} > ENTWINE_MAX_DIM={cap}")
     warnings: list = []
     _require(isinstance(raw["maps"], dict), "'maps' must be a name -> matrix map")

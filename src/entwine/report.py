@@ -33,6 +33,16 @@ class UnsupportedError(ValueError):
     """The input is valid but outside the supported scope."""
 
 
+def require(what: str, proof: "Report") -> None:
+    """Raise PreconditionError naming every failed check of ``proof``.
+
+    Pass the report memoised on the data object (``a.axioms``) so that each
+    object is proved at most once however many constructors need it.
+    """
+    if not proof.ok:
+        raise PreconditionError(f"{what} fails: {', '.join(proof.failed_names())}")
+
+
 @dataclass
 class CheckResult:
     name: str

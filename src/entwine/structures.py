@@ -10,6 +10,7 @@ flattening, so no bracketing bookkeeping appears in any axiom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,7 @@ from .exactalg import (
     kron,
     swap_matrix,
 )
-from .report import PreconditionError, Report, UnsupportedError
+from .report import Report, UnsupportedError, require
 
 __all__ = [
     "MonoidData",
@@ -88,12 +89,19 @@ class ComonoidData:
     def p(self) -> int:
         return self.delta.p
 
+    @cached_property
+    def axioms(self) -> Report:
+        """check_comonoid of this object, evaluated once and kept with it;
+        treat it as read-only."""
+        return check_comonoid(self)
+
 
 @dataclass(frozen=True)
 class BimonoidData:
     """A monoid and a comonoid on one carrier; compatibility is checked on
     demand (check_bialgebra here, check_bimonoid in the duoidal module), not
-    assumed at construction."""
+    assumed at construction.  Constructors that need a bimonoid read the
+    memoised ``axioms``, so each object is proved at most once."""
 
     monoid: MonoidData
     comonoid: ComonoidData
@@ -130,6 +138,12 @@ class BimonoidData:
     def eps(self) -> FpMatrix:
         return self.comonoid.eps
 
+    @cached_property
+    def axioms(self) -> Report:
+        """check_bialgebra of this object, evaluated once and kept with it;
+        treat it as read-only."""
+        return check_bialgebra(self)
+
 
 @dataclass(frozen=True)
 class ModuleData:
@@ -160,6 +174,16 @@ class ComoduleAlgebraData:
         _expect(self.rho, (da * db, db), "coaction rho")
         if self.rho.p != self.algebra.p or self.algebra.p != self.over.p:
             raise ShapeError("comodule algebra data carries mixed moduli")
+
+    @cached_property
+    def axioms(self) -> Report:
+        """The monoid axioms of the algebra (prefixed ``algebra ``) and
+        check_comodule_algebra, evaluated once and kept with this object;
+        treat it as read-only.  The base bimonoid carries its own memo."""
+        r = Report("comodule algebra preconditions")
+        r.merge(check_monoid(self.algebra), prefix="algebra ")
+        r.merge(check_comodule_algebra(self))
+        return r
 
 
 @dataclass(frozen=True)
@@ -325,12 +349,8 @@ def module_comonoid_of_coalgebra(a: BimonoidData, c: ComonoidData) -> ModuleComo
     Preconditions: ``a`` passes check_bialgebra and ``c`` passes
     check_comonoid (raises PreconditionError otherwise).
     """
-    pre_a = check_bialgebra(a)
-    if not pre_a.ok:
-        raise PreconditionError(f"bimonoid fails: {', '.join(pre_a.failed_names())}")
-    pre_c = check_comonoid(c)
-    if not pre_c.ok:
-        raise PreconditionError(f"comonoid fails: {', '.join(pre_c.failed_names())}")
+    require("bimonoid", a.axioms)
+    require("comonoid", c.axioms)
     if a.p != c.p:
         raise ShapeError("modulus mismatch between bimonoid and comonoid")
     p, da, dc = a.p, a.dim, c.dim

@@ -121,9 +121,8 @@ def test_criterion_4_fundamental_theorem_witnesses(capsys):
         rep = verify_fundamental_theorem(a, (1, 2, 3), extras=[regular])
         if not rep.ok:
             failures.append(f"{name}: {rep.failed_names()}")
-        ed = entwining_from_bimonoid(a)
         for d in (1, 2, 3):
-            kx = comparison_K(d, a, ed=ed, check=False)
+            kx = comparison_K(d, a)
             inc = coinvariants(kx, a.e)
             if inc.cols != d:
                 failures.append(f"{name}: coinvariants of K(F^{d}) have dim {inc.cols}")

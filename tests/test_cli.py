@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from entwine import cli, duoidal, entwining, exactalg, hopfmod, structures
 from entwine.cli import main
 from entwine.instances import (
     InstanceError,
@@ -65,6 +66,31 @@ def test_max_dim_cap(tmp_path, monkeypatch):
     with pytest.raises(InstanceError) as err:
         load_instance(fixture_path("kz2_f3"))
     assert "ENTWINE_MAX_DIM" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    (
+        (lambda raw: raw["maps"]["e"]["entries"].__setitem__(0, True), "map 'e'"),
+        (lambda raw: raw["objects"].__setitem__("A", True), "object 'A'"),
+    ),
+    ids=("bool-entry", "bool-dimension"),
+)
+def test_json_booleans_rejected(tmp_path, capsys, edit, named):
+    raw = json.loads(serialize_instance(load_instance(fixture_path("kz2_f3"))))
+    edit(raw)
+    f = tmp_path / "bool.json"
+    f.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "check-monoid", str(f))
+    assert code == 2 and named in err and not out
+
+
+@pytest.mark.parametrize("value", ("eight", "-1"))
+def test_invalid_max_dim_exits_two(monkeypatch, capsys, value):
+    monkeypatch.setenv("ENTWINE_MAX_DIM", value)
+    code, out, err = run(capsys, "galois", fixture_path("kz2_f3"))
+    assert code == 2 and "ENTWINE_MAX_DIM must be a nonnegative integer" in err
+    assert not out
 
 
 def test_unknown_role_kind():
@@ -202,6 +228,57 @@ def test_comodule_commands(capsys):
     assert code == 0
     code, _, _ = run(capsys, "check-comodule-algebra", fixture_path("trivial_coaction_f3"))
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# work done per call: proofs and eliminations
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` in every engine namespace that binds it and
+    return the list of recorded calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (exactalg, structures, entwining, hopfmod, duoidal, cli):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    (
+        ("fundamental-theorem", "sweedler_f5"),
+        ("galois", "kz2_f3"),
+        ("derive-entwining", "kz2_f3"),
+    ),
+)
+def test_each_bimonoid_proved_once_per_call(monkeypatch, capsys, command, name):
+    calls = _count_calls(monkeypatch, structures, "check_bialgebra")
+    for _ in range(2):  # a second call loads new objects and proves them anew
+        calls.clear()
+        code, _, _ = run(capsys, command, fixture_path(name), "--json")
+        assert code == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "command, name, code",
+    (
+        ("galois-generalized", "regular_comodule_f3", 0),
+        ("galois-generalized", "trivial_coaction_f3", 1),
+        ("galois-dual", "m2_f2", 1),
+    ),
+)
+def test_canonical_map_reduced_once(monkeypatch, capsys, command, name, code):
+    calls = _count_calls(monkeypatch, exactalg, "rref")
+    assert run(capsys, command, fixture_path(name), "--json")[0] == code
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from entwine.exactalg import (
-    Fp,
     FpMatrix,
     ShapeError,
     cokernel_basis,
@@ -36,22 +35,23 @@ def test_fp_inverse_extended_euclid_matches_exhaustive():
             assert (a * inv) % p == 1
 
 
-def test_fp_scalar_ops():
-    x, y = Fp(4, 5), Fp(3, 5)
-    assert (x + y).value == 2
-    assert (x - y).value == 1
-    assert (x * y).value == 2
-    assert (-x).value == 1
-    assert x.inverse().value == 4
+def test_zero_inverse_and_composite_modulus_rejected():
     with pytest.raises(ZeroDivisionError):
-        Fp(0, 5).inverse()
+        fp_inv(0, 5)
     with pytest.raises(ShapeError):
-        Fp(1, 4)
+        FpMatrix(4, [[1]])
 
 
 def test_entries_always_reduced():
     m = FpMatrix(3, [[5, -1], [3, 7]])
     assert m.a.tolist() == [[2, 2], [0, 1]]
+
+
+def test_large_prime_product_reduced_before_int64():
+    # the dot product 3*(p-1)^2 exceeds 2^63, so the object-dtype path runs
+    p = 2**31 - 1
+    prod = FpMatrix.row(p, [p - 1] * 3) @ FpMatrix.column(p, [p - 1] * 3)
+    assert prod == FpMatrix(p, [[3]])
 
 
 # ---------------------------------------------------------------------------

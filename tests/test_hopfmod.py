@@ -1,9 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from entwine.exactalg import FpMatrix, identity, inverse, kron, rank, swap_matrix
+from entwine.duoidal import braided_duoidal, galois_map_Kprime
+from entwine.exactalg import (
+    FpMatrix,
+    ShapeError,
+    identity,
+    inverse,
+    kron,
+    rank,
+    swap_matrix,
+)
 from entwine.report import PreconditionError
-from entwine.structures import BimonoidData, ComonoidData, MonoidData
+from entwine.structures import (
+    BimonoidData,
+    ComonoidData,
+    MonoidData,
+    module_comonoid_of_coalgebra,
+)
 from entwine.entwining import entwining_from_bimonoid
 from entwine.hopfmod import (
     GaloisReport,
@@ -97,7 +113,7 @@ def test_comparison_dim_two_over_idempotent_monoid():
 def test_comparison_always_yields_hopf_modules(name, dim):
     a = corpus_bimonoid(name)
     ed = entwining_from_bimonoid(a)
-    assert check_hopf_module(comparison_K(dim, a, ed=ed, check=False), ed).ok
+    assert check_hopf_module(comparison_K(dim, a), ed).ok
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +131,7 @@ def test_coinvariants_of_free_modules_have_base_dimension():
     for name in HOPF_FIXTURES + ("m2_f2",):
         a = corpus_bimonoid(name)
         for d in (1, 2, 3):
-            inc = coinvariants(comparison_K(d, a, check=False), a.e)
+            inc = coinvariants(comparison_K(d, a), a.e)
             assert inc.cols == d
 
 
@@ -187,6 +203,9 @@ def test_galois_report_invariant_enforced():
     g = galois_map_beta(a)
     with pytest.raises(Exception):
         GaloisReport(g.base_map, g.rank, True, None)
+    forged = FpMatrix(a.p, g.inverse.a ^ np.eye(4, dtype=np.int64))
+    with pytest.raises(ShapeError, match="inverse witness does not verify"):
+        GaloisReport(g.base_map, g.rank, True, forged)
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +330,22 @@ def test_fundamental_theorem_precondition():
     broken = BimonoidData(a.monoid, ComonoidData(2, a.delta, FpMatrix(3, eps)))
     with pytest.raises(PreconditionError):
         verify_fundamental_theorem(broken)
+
+
+def test_memo_does_not_vouch_for_a_replaced_object():
+    a = corpus_bimonoid("kz2_f3")
+    assert a.axioms.ok and galois_map_beta(a).invertible  # a is proved
+    m = np.array(a.m.a)
+    m[0, 0] = 2
+    broken = dataclasses.replace(a, monoid=MonoidData(a.dim, FpMatrix(a.p, m), a.e))
+    ctx = braided_duoidal(a.p)
+    for build in (
+        galois_map_beta,
+        entwining_from_bimonoid,
+        lambda b: comparison_K(1, b),
+        lambda b: galois_map_Kprime(b, ctx),
+        lambda b: module_comonoid_of_coalgebra(b, a.comonoid),
+    ):
+        with pytest.raises(PreconditionError, match="bimonoid fails: associativity"):
+            build(broken)
+    assert galois_map_beta(a).invertible
