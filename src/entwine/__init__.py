@@ -4,17 +4,18 @@ canonical Galois maps over prime fields."""
 from .exactalg import (
     FpMatrix,
     ShapeError,
+    apply_leg,
     cokernel_basis,
     identity,
     inverse,
     kernel_basis,
     kron,
     left_inverse,
+    permute_legs,
     rank,
     right_inverse,
     rref,
     solve,
-    swap_matrix,
     zeros,
 )
 from .report import CONVENTIONS, CheckResult, PreconditionError, Report, UnsupportedError

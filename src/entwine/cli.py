@@ -4,8 +4,8 @@
     entwine make-instance <kind> --p P [--order N] [--out PATH]
 
 Exit codes: 0 = all checks pass / Galois, 1 = a check fails / not Galois,
-2 = usage or input error.  ``--json`` reports are deterministic: identical
-inputs and flags produce byte-identical output.
+2 = usage or input error, or out of memory.  ``--json`` reports are
+deterministic: identical inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -167,8 +167,12 @@ def _run_command(command: str, inst: Optional[InstanceFile], rep: Report, sample
     elif command == "galois-generalized":
         combs = _need(inst.roles_of("comodule-algebra"), "comodule-algebra")
         comos = _need(inst.roles_of("comonoid"), "comonoid")
+        if len(comos) > 1:
+            names = ", ".join(name for name, _ in comos)
+            raise InstanceError(f"galois-generalized needs one comonoid role, found {names}")
+        (_, c), = comos
         for name, b in combs:
-            g = galois_map_generalized(b, comos[0][1])
+            g = galois_map_generalized(b, c)
             _galois_checks(rep, "can ", g)
     elif command == "galois-dual":
         ctx = braided_duoidal(inst.field_p)
@@ -317,8 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except MemoryError:
+        what = args.kind if args.command == "make-instance" else args.instance
+        return _fail(f"out of memory running {args.command} on {what}")
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "make-instance":
         try:
             inst = build_instance(args.kind, args.p, args.order)

@@ -3,21 +3,25 @@ braided vector-space instance, and the bimonoid/Galois machinery that lives
 on top of it.
 
 A context carries the two unit dimensions, the three structure morphisms
-Delta: I -> I*I, mu: JoJ -> J, tau: I -> J, and a builder producing the
+Delta: I -> I*I, mu: JoJ -> J, tau: I -> J, and the action of the
 interchange component
 
     zeta_{W,X,Y,Z} : (W * X) o (Y * Z)  ->  (W o Y) * (X o Z)
 
-for any four object dimensions.  Only the braided instance (both products
-the plain tensor product, zeta the middle transposition) is concretely
-constructible here; the context is an interface so that genuinely
-non-degenerate instances can be added without touching the checkers.
+for any four object dimensions: ``zeta(x, dw, dx, dy, dz)`` returns
+``zeta_{W,X,Y,Z} @ x`` for a matrix x whose rows index the source, so a
+large component is applied without being built.  Only the braided instance
+(both products the plain tensor product, zeta the middle transposition) is
+concretely constructible here; the context is an interface so that
+genuinely non-degenerate instances can be added without touching the
+checkers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -25,12 +29,13 @@ import numpy as np
 from .exactalg import (
     FpMatrix,
     ShapeError,
+    apply_leg,
     identity,
     is_prime,
     kron,
     left_inverse,
+    permute_legs,
     right_inverse,
-    swap_matrix,
 )
 from .hopfmod import GaloisReport, canonical_map_report
 from .report import Report, UnsupportedError, require
@@ -73,13 +78,14 @@ class DuoidalCtx:
 def braided_duoidal(p: int) -> DuoidalCtx:
     """The degenerate duoidal structure on F_p-vector spaces: both products
     are the tensor product, both units are the line, and the interchange is
-    the middle transposition I_W (x) swap_{X,Y} (x) I_Z."""
+    the middle transposition I_W (x) swap_{X,Y} (x) I_Z, applied as a row
+    gather."""
     if not is_prime(p):
         raise UnsupportedError(f"{p} is not prime")
     one = identity(p, 1)
 
-    def zeta(dw: int, dx: int, dy: int, dz: int) -> FpMatrix:
-        return kron(kron(identity(p, dw), swap_matrix(p, dx, dy)), identity(p, dz))
+    def zeta(x: FpMatrix, dw: int, dx: int, dy: int, dz: int) -> FpMatrix:
+        return permute_legs(x, (dw, dx, dy, dz), (0, 2, 1, 3))
 
     return DuoidalCtx(BRAIDED_TAG, p, 1, 1, zeta, one, one, one)
 
@@ -121,12 +127,16 @@ def check_duoidal(ctx: DuoidalCtx, probe_dims=(1, 2)) -> Report:
     r.require_equal("(I, Delta, tau) left counit", kron(ctx.tau, ii) @ ctx.Delta, ii)
     r.require_equal("(I, Delta, tau) right counit", kron(ii, ctx.tau) @ ctx.Delta, ii)
 
+    def component(*legs) -> FpMatrix:
+        """zeta at probe dimensions, read off its action on the identity."""
+        return ctx.zeta(identity(p, prod(legs)), *legs)
+
     dims = tuple(probe_dims)
     nat_ok = True
     nat_note = ""
     for dw, dx, dy, dz in product(dims, repeat=4):
-        z = ctx.zeta(dw, dx, dy, dz)
         slot_dims = (dw, dx, dy, dz)
+        z = component(*slot_dims)
         for slot in range(4):
             for f in _elementary_maps(p, slot_dims[slot]):
                 legs_in = [identity(p, d) for d in slot_dims]
@@ -147,21 +157,21 @@ def check_duoidal(ctx: DuoidalCtx, probe_dims=(1, 2)) -> Report:
     assoc_note = ""
     for du, dv, dw, dx, dy, dz in product(dims, repeat=6):
         # nesting across the first product: ((U*V)o(W*X))o(Y*Z)
-        route1 = ctx.zeta(du * dw, dv * dx, dy, dz) @ kron(
-            ctx.zeta(du, dv, dw, dx), identity(p, dy * dz)
+        route1 = ctx.zeta(
+            kron(component(du, dv, dw, dx), identity(p, dy * dz)), du * dw, dv * dx, dy, dz
         )
-        route2 = ctx.zeta(du, dv, dw * dy, dx * dz) @ kron(
-            identity(p, du * dv), ctx.zeta(dw, dx, dy, dz)
+        route2 = ctx.zeta(
+            kron(identity(p, du * dv), component(dw, dx, dy, dz)), du, dv, dw * dy, dx * dz
         )
         if not route1 == route2:
             assoc_ok = False
             assoc_note = f"first-product nesting at dims {(du, dv, dw, dx, dy, dz)}"
             break
         # nesting across the second product: (U*V*W)o(X*Y*Z)
-        route3 = kron(identity(p, du * dx), ctx.zeta(dv, dw, dy, dz)) @ ctx.zeta(
+        route3 = kron(identity(p, du * dx), component(dv, dw, dy, dz)) @ component(
             du, dv * dw, dx, dy * dz
         )
-        route4 = kron(ctx.zeta(du, dv, dx, dy), identity(p, dw * dz)) @ ctx.zeta(
+        route4 = kron(component(du, dv, dx, dy), identity(p, dw * dz)) @ component(
             du * dv, dw, dx * dy, dz
         )
         if not route3 == route4:
@@ -174,10 +184,10 @@ def check_duoidal(ctx: DuoidalCtx, probe_dims=(1, 2)) -> Report:
     unit_note = ""
     for dw, dx in product(dims, repeat=2):
         iwx = identity(p, dw * dx)
-        u1 = ctx.zeta(dw, dx, di, di) @ kron(iwx, ctx.Delta)
-        u2 = ctx.zeta(di, di, dw, dx) @ kron(ctx.Delta, iwx)
-        u3 = kron(iwx, ctx.mu) @ ctx.zeta(dw, dj, dx, dj)
-        u4 = kron(ctx.mu, iwx) @ ctx.zeta(dj, dw, dj, dx)
+        u1 = ctx.zeta(kron(iwx, ctx.Delta), dw, dx, di, di)
+        u2 = ctx.zeta(kron(ctx.Delta, iwx), di, di, dw, dx)
+        u3 = kron(iwx, ctx.mu) @ component(dw, dj, dx, dj)
+        u4 = kron(ctx.mu, iwx) @ component(dj, dw, dj, dx)
         for name, got in (
             ("Delta right", u1),
             ("Delta left", u2),
@@ -205,10 +215,11 @@ def check_bimonoid(a: BimonoidData, ctx: DuoidalCtx) -> Report:
             "bimonoid checking is implemented for contexts with 1-dimensional units"
         )
     r = Report("bimonoid diagrams", subject=ctx.tag)
+    interchanged = ctx.zeta(kron(a.delta, a.delta), d, d, d, d)
     r.require_equal(
         "comultiplication vs multiplication (I)",
         a.delta @ a.m,
-        kron(a.m, a.m) @ ctx.zeta(d, d, d, d) @ kron(a.delta, a.delta),
+        apply_leg(a.m, apply_leg(a.m, interchanged, (d * d, d * d), 0), (d, d * d), 1),
     )
     r.require_equal(
         "counit vs multiplication (II)",
@@ -248,8 +259,8 @@ def galois_map_Kprime(a: BimonoidData, ctx: DuoidalCtx) -> GaloisReport:
     if ctx.tag != BRAIDED_TAG:
         raise UnsupportedError(f"unsupported duoidal context {ctx.tag!r}")
     require("bimonoid", a.axioms)
-    i = identity(a.p, a.dim)
-    return canonical_map_report(kron(i, a.m) @ kron(a.delta, i))
+    d = a.dim
+    return canonical_map_report(apply_leg(a.m, kron(a.delta, identity(a.p, d)), (d, d * d), 1))
 
 
 def entwining_via_ctx(a: BimonoidData, ctx: DuoidalCtx) -> FpMatrix:
@@ -258,6 +269,6 @@ def entwining_via_ctx(a: BimonoidData, ctx: DuoidalCtx) -> FpMatrix:
     Must coincide entrywise with entwining_from_bimonoid."""
     if ctx.dim_i != 1 or ctx.dim_j != 1:
         raise UnsupportedError("entwining assembly needs 1-dimensional units")
-    p, d = a.p, a.dim
-    i = identity(p, d)
-    return kron(i, a.m) @ ctx.zeta(1, d, d, d) @ kron(i, a.delta)
+    d = a.dim
+    c_a1_a2 = kron(identity(a.p, d), a.delta)
+    return apply_leg(a.m, ctx.zeta(c_a1_a2, 1, d, d, d), (d, d * d), 1)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import FpMatrix, ShapeError, identity, kron, swap_matrix
+from .exactalg import FpMatrix, ShapeError, apply_leg, identity, kron, permute_legs
 from .report import Report, UnsupportedError, require
 from .structures import (
     BimonoidData,
@@ -77,41 +77,46 @@ def check_entwining(ed: EntwiningData) -> Report:
     Stated in the base convention of ed.side; assumes the monoid and comonoid
     pass their own axiom checks.
     """
-    p = ed.p
     da, dc = ed.monoid.dim, ed.comonoid.dim
     m, e = ed.monoid.m, ed.monoid.e
     delta, eps = ed.comonoid.delta, ed.comonoid.eps
-    ia, ic = identity(p, da), identity(p, dc)
-    lam = ed.lambda0
+    ia, ic = identity(ed.p, da), identity(ed.p, dc)
+    lam, lt = ed.lambda0, ed.lambda0.transpose()
+    # A right multiplication X.(I(x)f(x)I) is taken as the transpose of
+    # (I(x)f^T(x)I).X^T, so no side is built larger than its identity.
     r = Report(f"entwining axioms ({ed.side} side)")
     if ed.side == RIGHT:
         # lambda0: C(x)A -> A(x)C
+        # (m(x)I).(I(x)lambda0).(lambda0(x)I), transposed: rows A.A.C -> A.C.A -> C.A.A
+        via_lam = apply_leg(lt, kron(m, ic).transpose(), (da, da * dc), 1)
+        via_lam = apply_leg(lt, via_lam, (da * dc, da), 0).transpose()
         r.require_equal(
-            "multiplication",
-            lam @ kron(ic, m),
-            kron(m, ic) @ kron(ia, lam) @ kron(lam, ia),
+            "multiplication", apply_leg(m.transpose(), lt, (dc, da), 1).transpose(), via_lam
         )
-        r.require_equal("unit", lam @ kron(ic, e), kron(e, ic))
         r.require_equal(
-            "comultiplication",
-            kron(ia, delta) @ lam,
-            kron(lam, ic) @ kron(ic, lam) @ kron(delta, ia),
+            "unit", apply_leg(e.transpose(), lt, (dc, da), 1).transpose(), kron(e, ic)
         )
-        r.require_equal("counit", kron(ia, eps) @ lam, kron(eps, ia))
+        # (lambda0(x)I).(I(x)lambda0).(delta(x)I): rows C.C.A -> C.A.C -> A.C.C
+        via_lam = apply_leg(lam, kron(delta, ia), (dc, dc * da), 1)
+        via_lam = apply_leg(lam, via_lam, (dc * da, dc), 0)
+        r.require_equal("comultiplication", apply_leg(delta, lam, (da, dc), 1), via_lam)
+        r.require_equal("counit", apply_leg(eps, lam, (da, dc), 1), kron(eps, ia))
     else:
         # lambda0: B(x)Z -> Z(x)B
+        # (I(x)m).(lambda0(x)I).(I(x)lambda0), transposed: rows Z.B.B -> B.Z.B -> B.B.Z
+        via_lam = apply_leg(lt, kron(ic, m).transpose(), (dc * da, da), 0)
+        via_lam = apply_leg(lt, via_lam, (da, dc * da), 1).transpose()
         r.require_equal(
-            "multiplication",
-            lam @ kron(m, ic),
-            kron(ic, m) @ kron(lam, ia) @ kron(ia, lam),
+            "multiplication", apply_leg(m.transpose(), lt, (da, dc), 0).transpose(), via_lam
         )
-        r.require_equal("unit", lam @ kron(e, ic), kron(ic, e))
         r.require_equal(
-            "comultiplication",
-            kron(delta, ia) @ lam,
-            kron(ic, lam) @ kron(lam, ic) @ kron(ia, delta),
+            "unit", apply_leg(e.transpose(), lt, (da, dc), 0).transpose(), kron(ic, e)
         )
-        r.require_equal("counit", kron(eps, ia) @ lam, kron(ia, eps))
+        # (I(x)lambda0).(lambda0(x)I).(I(x)delta): rows B.Z.Z -> Z.B.Z -> Z.Z.B
+        via_lam = apply_leg(lam, kron(ia, delta), (da * dc, dc), 0)
+        via_lam = apply_leg(lam, via_lam, (dc, da * dc), 1)
+        r.require_equal("comultiplication", apply_leg(delta, lam, (dc, da), 0), via_lam)
+        r.require_equal("counit", apply_leg(eps, lam, (dc, da), 0), kron(ia, eps))
     return r
 
 
@@ -122,9 +127,9 @@ def entwining_from_bimonoid(a: BimonoidData) -> EntwiningData:
     Precondition: ``a`` passes check_bialgebra.
     """
     require("bimonoid", a.axioms)
-    p, d = a.p, a.dim
-    i = identity(p, d)
-    lam = kron(i, a.m) @ kron(swap_matrix(p, d, d), i) @ kron(i, a.delta)
+    d = a.dim
+    c_a1_a2 = kron(identity(a.p, d), a.delta)
+    lam = apply_leg(a.m, permute_legs(c_a1_a2, (d, d, d), (1, 0, 2)), (d, d * d), 1)
     return EntwiningData(a.monoid, a.comonoid, lam, RIGHT)
 
 
@@ -140,13 +145,9 @@ def entwining_from_comodule_monad(
     """
     require("comodule algebra", b.axioms)
     z = module_comonoid_of_coalgebra(b.over, c)  # requires a and c
-    p = b.over.p
     da, db, dz = b.over.dim, b.algebra.dim, z.dim
-    lam = (
-        kron(z.sigma, identity(p, db))
-        @ kron(identity(p, da), swap_matrix(p, db, dz))
-        @ kron(b.rho, identity(p, dz))
-    )
+    a_b_z = kron(b.rho, identity(b.over.p, dz))
+    lam = apply_leg(z.sigma, permute_legs(a_b_z, (da, db, dz), (0, 2, 1)), (da * dz, db), 0)
     return EntwiningData(b.algebra, z.comonoid, lam, LEFT)
 
 
@@ -161,8 +162,10 @@ def lift_comonad(ed: EntwiningData, x: ModuleData) -> ModuleData:
     if x.side != "right":
         raise UnsupportedError("lift_comonad lifts right modules")
     require("module", check_module(x, ed.monoid))
-    p, dc = ed.p, ed.comonoid.dim
-    lifted = kron(x.action, identity(p, dc)) @ kron(identity(p, x.dim), ed.lambda0)
+    da, dc = ed.monoid.dim, ed.comonoid.dim
+    # (h(x)I_C).(I_X(x)lambda0), as the transpose of (I_X(x)lambda0^T).(h(x)I_C)^T
+    h_c = kron(x.action, identity(ed.p, dc)).transpose()
+    lifted = apply_leg(ed.lambda0.transpose(), h_c, (x.dim, da * dc), 1).transpose()
     return ModuleData(x.dim * dc, lifted, "right")
 
 
@@ -172,21 +175,23 @@ def lift_report(ed: EntwiningData, x: ModuleData) -> Report:
     lifted = lift_comonad(ed, x)
     r = Report("lifted module")
     r.merge(check_module(lifted, ed.monoid), prefix="lifted ")
-    p, dc, da = ed.p, ed.comonoid.dim, ed.monoid.dim
-    ix = identity(p, x.dim)
-    ia = identity(p, da)
+    dc, da = ed.comonoid.dim, ed.monoid.dim
+    ix = identity(ed.p, x.dim)
+    # h'.(f(x)I_A) for the leg map f, as the transpose of (f^T(x)I_A).h'^T
     counit_leg = kron(ix, ed.comonoid.eps)
     r.require_equal(
         "counit leg is a module morphism",
-        counit_leg @ lifted.action,
-        x.action @ kron(counit_leg, ia),
+        apply_leg(ed.comonoid.eps, lifted.action, (x.dim, dc), 1),
+        apply_leg(counit_leg.transpose(), x.action.transpose(), (x.dim, da), 0).transpose(),
     )
     twice = lift_comonad(ed, lifted)
     comult_leg = kron(ix, ed.comonoid.delta)
     r.require_equal(
         "comultiplication leg is a module morphism",
-        comult_leg @ lifted.action,
-        twice.action @ kron(comult_leg, ia),
+        apply_leg(ed.comonoid.delta, lifted.action, (x.dim, dc), 1),
+        apply_leg(
+            comult_leg.transpose(), twice.action.transpose(), (x.dim * dc * dc, da), 0
+        ).transpose(),
     )
     return r
 
@@ -200,7 +205,10 @@ def rebuild_base_map(ed: EntwiningData) -> FpMatrix:
     """
     if ed.side != RIGHT:
         raise UnsupportedError("rebuild_base_map expects a right-side entwining")
-    p, da, dc = ed.p, ed.monoid.dim, ed.comonoid.dim
+    da, dc = ed.monoid.dim, ed.comonoid.dim
     lifted = lift_comonad(ed, regular_right_module(ed.monoid))
-    insert_unit = kron(kron(ed.monoid.e, identity(p, dc)), identity(p, da))
-    return lifted.action @ insert_unit
+    insert_unit = kron(ed.monoid.e, identity(ed.p, dc))
+    # lifted.(insert_unit(x)I_A), as the transpose of (insert_unit^T(x)I_A).lifted^T
+    return apply_leg(
+        insert_unit.transpose(), lifted.action.transpose(), (da * dc, da), 0
+    ).transpose()

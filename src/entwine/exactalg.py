@@ -7,6 +7,10 @@ The conventions are fixed once, here, for everything downstream:
 * matrices act on column vectors, so ``g @ f`` means "apply f first";
 * tensor legs flatten row-major: basis vector ``(i, j)`` of ``V (x) W`` sits at
   index ``i * dim(W) + j``, and :func:`kron` follows the same rule;
+* leg shuffles and maps on one tensor leg are applied by :func:`permute_legs`
+  (a row gather) and :func:`apply_leg` (a contraction over one leg), never by
+  multiplying with a dense permutation matrix or an identity-padded
+  Kronecker product, which would be far larger than either operand;
 * row reduction is deterministic (first nonzero pivot, rows scanned
   top-down), so kernels, inverses and quotient projections are reproducible
   byte for byte.
@@ -18,6 +22,7 @@ this package stay small enough that nothing smarter is warranted.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -28,6 +33,8 @@ __all__ = [
     "identity",
     "zeros",
     "kron",
+    "permute_legs",
+    "apply_leg",
     "swap_matrix",
     "rref",
     "rank",
@@ -92,13 +99,23 @@ class FpMatrix:
 
     def __init__(self, p: int, entries) -> None:
         _check_modulus(p)
-        a = np.array(entries, dtype=np.int64)
+        a = np.asarray(entries, dtype=np.int64)
         if a.ndim != 2:
             raise ShapeError(f"expected a 2-d array of entries, got ndim={a.ndim}")
         a = np.mod(a, p)
         a.setflags(write=False)
         self.p = p
         self.a = a
+
+    @classmethod
+    def _reduced(cls, p: int, a: np.ndarray) -> "FpMatrix":
+        """Wrap a 2-d int64 array already reduced mod a checked prime p,
+        without the copy and reduction of the constructor."""
+        m = object.__new__(cls)
+        a.setflags(write=False)
+        m.p = p
+        m.a = a
+        return m
 
     # -- construction helpers ------------------------------------------------
 
@@ -161,18 +178,7 @@ class FpMatrix:
             raise ShapeError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        # Entries are reduced, so every dot product is bounded by k*(p-1)^2.
-        # Below 2^53 the float64 path is exact and uses BLAS; below 2^63 the
-        # int64 path is exact; otherwise fall back to arbitrary precision,
-        # reduced before the int64 conversion in the constructor.
-        bound = self.cols * (self.p - 1) ** 2
-        if bound < 2**53:
-            prod = (self.a.astype(np.float64) @ other.a.astype(np.float64)).astype(np.int64)
-        elif bound < 2**63:
-            prod = self.a @ other.a
-        else:
-            prod = (self.a.astype(object) @ other.a.astype(object)) % self.p
-        return FpMatrix(self.p, prod)
+        return FpMatrix._reduced(self.p, _product(self.p, self.a, other.a))
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._match(other)
@@ -190,7 +196,7 @@ class FpMatrix:
         return FpMatrix(self.p, -self.a)
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.a.T)
+        return FpMatrix._reduced(self.p, self.a.T)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):
@@ -203,6 +209,24 @@ class FpMatrix:
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.a.tolist()!r})"
+
+
+def _product(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact ``a @ b mod p`` for reduced int64 arrays, a of shape (r, k) and
+    b of shape (k, n) or a stack (s, k, n) of such.
+
+    Every dot product is bounded by k*(p-1)^2.  Below 2^53 the float64 path
+    is exact and uses BLAS; below 2^63 the int64 path is exact; otherwise
+    fall back to arbitrary precision, reduced before the int64 conversion.
+    """
+    bound = a.shape[1] * (p - 1) ** 2
+    if bound < 2**53:
+        out = np.matmul(a.astype(np.float64), b.astype(np.float64))
+        np.fmod(out, p, out=out)
+        return out.astype(np.int64)
+    if bound < 2**63:
+        return np.matmul(a, b) % p
+    return (np.matmul(a.astype(object), b.astype(object)) % p).astype(np.int64)
 
 
 def identity(p: int, n: int) -> FpMatrix:
@@ -220,11 +244,61 @@ def kron(m: FpMatrix, n: FpMatrix) -> FpMatrix:
     block convention, bit-exact contract).
     """
     m._match(n)
-    return FpMatrix(m.p, np.kron(m.a, n.a))
+    out = np.kron(m.a, n.a)
+    np.remainder(out, m.p, out=out)
+    return FpMatrix._reduced(m.p, out)
+
+
+def _check_legs(mat: FpMatrix, dims) -> None:
+    if prod(dims) != mat.rows:
+        raise ShapeError(f"leg dims {tuple(dims)} do not factor {mat.rows} rows")
+
+
+def permute_legs(mat: FpMatrix, dims, perm) -> FpMatrix:
+    """``P @ mat`` for the leg permutation P: V_0 (x) ... (x) V_{k-1} ->
+    V_perm[0] (x) ... (x) V_perm[k-1], as a row gather.
+
+    The rows of ``mat`` index the tensor product with leg dimensions
+    ``dims``; leg ``perm[i]`` of the source becomes leg ``i`` of the result.
+    The transposition V1 (x) V2 -> V2 (x) V1 is ``perm = (1, 0)``, and
+    ``swap_matrix`` is its dense form.  Right multiplication by P is the
+    transpose: ``mat @ P == permute_legs(mat.transpose(), dims', inv).transpose()``
+    with ``dims'`` the permuted dims and ``inv`` the inverse permutation.
+    """
+    _check_legs(mat, dims)
+    if sorted(perm) != list(range(len(dims))):
+        raise ShapeError(f"{tuple(perm)} is not a permutation of {len(dims)} legs")
+    idx = np.arange(mat.rows).reshape(dims).transpose(perm).reshape(-1)
+    return FpMatrix._reduced(mat.p, mat.a[idx])
+
+
+def apply_leg(f: FpMatrix, mat: FpMatrix, dims, leg: int) -> FpMatrix:
+    """``(I (x) f (x) I) @ mat`` with f acting on tensor leg ``leg`` alone.
+
+    The rows of ``mat`` index the tensor product with leg dimensions
+    ``dims`` and ``dims[leg] == f.cols``; the result's rows index the same
+    product with that leg replaced by the target of f.  Adjacent legs act as
+    one when their dimensions are multiplied together in ``dims``.  The
+    identity-padded Kronecker product is never built: the rows are reshaped
+    to (before, leg, after) and f is contracted with the middle axis.
+    Right multiplication is the transpose:
+    ``mat @ (I (x) f (x) I) == apply_leg(f.transpose(), mat.transpose(), dims, leg).transpose()``
+    with ``dims`` the legs of mat's columns.
+    """
+    f._match(mat)
+    _check_legs(mat, dims)
+    if dims[leg] != f.cols:
+        raise ShapeError(f"leg {leg} has dim {dims[leg]}, map expects {f.cols}")
+    before, after = prod(dims[:leg]), prod(dims[leg + 1:])
+    out = _product(f.p, f.a, mat.a.reshape(before, f.cols, after * mat.cols))
+    return FpMatrix._reduced(f.p, out.reshape(before * f.rows * after, mat.cols))
 
 
 def swap_matrix(p: int, d1: int, d2: int) -> FpMatrix:
-    """Permutation matrix for the transposition V1 (x) V2 -> V2 (x) V1."""
+    """Permutation matrix for the transposition V1 (x) V2 -> V2 (x) V1.
+
+    Reference form only: the engine applies leg shuffles with
+    :func:`permute_legs`."""
     s = np.zeros((d1 * d2, d1 * d2), dtype=np.int64)
     for i in range(d1):
         for j in range(d2):

@@ -27,15 +27,16 @@ import numpy as np
 from .exactalg import (
     FpMatrix,
     ShapeError,
+    apply_leg,
     identity,
     inverse,
     kernel_basis,
     kron,
     left_inverse,
+    permute_legs,
     rank,
     rref,
     solve,
-    swap_matrix,
 )
 from .report import PreconditionError, Report, require
 from .structures import (
@@ -108,7 +109,6 @@ def check_hopf_module(m: HopfModuleData, ed: EntwiningData) -> Report:
     theta.h = (h(x)I_C).(I_X(x)lambda0).(theta(x)I_A), all exact."""
     if ed.side != RIGHT:
         raise ShapeError("Hopf modules are defined over right-side entwinings")
-    p = ed.p
     da, dc, dx = ed.monoid.dim, ed.comonoid.dim, m.dim
     if m.action.shape != (dx, dx * da):
         raise ShapeError(f"action: expected shape ({dx}, {dx * da}), got {m.action.shape}")
@@ -119,12 +119,12 @@ def check_hopf_module(m: HopfModuleData, ed: EntwiningData) -> Report:
     r = Report("Hopf module axioms")
     r.merge(check_module(ModuleData(dx, m.action, "right"), ed.monoid))
     r.merge(check_right_comodule(dx, m.coaction, ed.comonoid))
+    x_c_a = kron(m.coaction, identity(ed.p, da))
+    x_a_c = apply_leg(ed.lambda0, x_c_a, (dx, dc * da), 1)
     r.require_equal(
         "compatibility pentagon",
         m.coaction @ m.action,
-        kron(m.action, identity(p, dc))
-        @ kron(identity(p, dx), ed.lambda0)
-        @ kron(m.coaction, identity(p, da)),
+        apply_leg(m.action, x_a_c, (dx * da, dc), 0),
     )
     return r
 
@@ -163,10 +163,10 @@ def coinvariants(m: HopfModuleData, unit: FpMatrix) -> FpMatrix:
 
 def _antipode_checks(a: BimonoidData, s: FpMatrix) -> Report:
     r = Report("antipode axioms")
-    i = identity(a.p, a.dim)
+    legs = (a.dim, a.dim)
     target = a.e @ a.eps
-    r.require_equal("left antipode axiom", a.m @ kron(s, i) @ a.delta, target)
-    r.require_equal("right antipode axiom", a.m @ kron(i, s) @ a.delta, target)
+    r.require_equal("left antipode axiom", a.m @ apply_leg(s, a.delta, legs, 0), target)
+    r.require_equal("right antipode axiom", a.m @ apply_leg(s, a.delta, legs, 1), target)
     return r
 
 
@@ -203,13 +203,15 @@ def galois_map_beta(a: BimonoidData, want_antipode: bool = True) -> GaloisReport
     formula is standard Hopf-theory plumbing, flagged as such in reports.)
     """
     require("bimonoid", a.axioms)
-    i = identity(a.p, a.dim)
-    g = canonical_map_report(kron(a.m, i) @ kron(i, a.delta))
+    d = a.dim
+    g = canonical_map_report(apply_leg(a.m, kron(identity(a.p, d), a.delta), (d * d, d), 0))
     if not g.invertible:
         return replace(g, note="not Galois: no antipode")
     if not want_antipode:
         return g
-    antipode = kron(i, a.eps) @ g.inverse @ kron(a.e, i)
+    # (I(x)eps).beta^{-1}.(e(x)I); the right factor as a transpose
+    after_unit = apply_leg(a.e.transpose(), g.inverse.transpose(), (d, d), 0).transpose()
+    antipode = apply_leg(a.eps, after_unit, (d, d), 1)
     return replace(g, antipode=antipode, antipode_ok=_antipode_checks(a, antipode).ok)
 
 
@@ -224,13 +226,10 @@ def galois_map_generalized(b: ComoduleAlgebraData, c: ComonoidData) -> GaloisRep
     """
     require("bimonoid", b.over.axioms)
     require("comodule algebra", b.axioms)
-    p = b.over.p
     da, db, dc = b.over.dim, b.algebra.dim, c.dim
-    return canonical_map_report(
-        kron(identity(p, da * dc), b.algebra.m)
-        @ kron(kron(identity(p, da), swap_matrix(p, db, dc)), identity(p, db))
-        @ kron(b.rho, identity(p, dc * db))
-    )
+    a_b_c_b = kron(b.rho, identity(b.over.p, dc * db))
+    a_c_b_b = permute_legs(a_b_c_b, (da, db, dc, db), (0, 2, 1, 3))
+    return canonical_map_report(apply_leg(b.algebra.m, a_c_b_b, (da * dc, db * db), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +290,11 @@ def _find_non_equivalence_witness(
         w = _witness_from_module(m, a, ed)
         if w is not None:
             return w
+    group_likes = None  # enumerated once, and only if some character exists
     for phi in find_characters(a):
-        for t in find_group_likes(a.comonoid):
+        if group_likes is None:
+            group_likes = find_group_likes(a.comonoid)
+        for t in group_likes:
             cand = HopfModuleData(1, phi, t)
             w = _witness_from_module(cand, a, ed)
             if w is not None:
@@ -303,6 +305,12 @@ def _find_non_equivalence_witness(
 # ---------------------------------------------------------------------------
 # fundamental theorem driver
 # ---------------------------------------------------------------------------
+
+def _counit_map(m: HopfModuleData, inc: FpMatrix, da: int) -> FpMatrix:
+    """M^co (x) A -> M, x(x)a |-> x.a: the action after inc(x)I_A, taken
+    as the transpose of (inc^T(x)I_A).h^T."""
+    return apply_leg(inc.transpose(), m.action.transpose(), (m.dim, da), 0).transpose()
+
 
 def _is_iso(m: FpMatrix) -> bool:
     return m.rows == m.cols and inverse(m) is not None
@@ -326,7 +334,6 @@ def verify_fundamental_theorem(
     """
     require("bimonoid", a.axioms)
     p, da = a.p, a.dim
-    ia = identity(p, da)
     rep = Report("fundamental theorem", subject=f"bimonoid of dim {da} over F_{p}")
     retraction = left_inverse(a.e)
     rep.add_flag("unit of the monad is a split monomorphism", retraction is not None)
@@ -361,7 +368,7 @@ def verify_fundamental_theorem(
                 f"unit map of K(F^{d}) is an isomorphism onto the coinvariants",
                 w is not None and _is_iso(w),
             )
-            counit_map = kx.action @ kron(inc, ia)
+            counit_map = _counit_map(kx, inc, da)
             rep.add_flag(
                 f"counit map of K(F^{d}) is an isomorphism", _is_iso(counit_map)
             )
@@ -371,7 +378,7 @@ def verify_fundamental_theorem(
             if not sub.ok:
                 continue
             inc = coinvariants(m, a.e)
-            counit_map = m.action @ kron(inc, ia)
+            counit_map = _counit_map(m, inc, da)
             rep.add_flag(
                 f"counit map of extra module {idx} is an isomorphism",
                 _is_iso(counit_map),

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
 from .exactalg import (
     FpMatrix,
     ShapeError,
+    apply_leg,
     identity,
     kron,
-    swap_matrix,
+    permute_legs,
 )
 from .report import Report, UnsupportedError, require
 
@@ -223,20 +222,31 @@ def check_monoid(a: MonoidData) -> Report:
     """Associativity and the two unit identities, as matrix equalities."""
     r = Report("monoid axioms")
     i = identity(a.p, a.dim)
-    r.require_equal("associativity", a.m @ kron(a.m, i), a.m @ kron(i, a.m))
-    r.require_equal("left unit", a.m @ kron(a.e, i), i)
-    r.require_equal("right unit", a.m @ kron(i, a.e), i)
+    legs = (a.dim, a.dim)
+    # m.(m(x)I) and m.(e(x)I) multiply m on the right by a map on one leg;
+    # each is taken as the transpose of (m^T on that leg).m^T
+    mt, et = a.m.transpose(), a.e.transpose()
+    r.require_equal(
+        "associativity",
+        apply_leg(mt, mt, legs, 0).transpose(),
+        apply_leg(mt, mt, legs, 1).transpose(),
+    )
+    r.require_equal("left unit", apply_leg(et, mt, legs, 0).transpose(), i)
+    r.require_equal("right unit", apply_leg(et, mt, legs, 1).transpose(), i)
     return r
 
 
 def check_comonoid(c: ComonoidData) -> Report:
     r = Report("comonoid axioms")
     i = identity(c.p, c.dim)
+    legs = (c.dim, c.dim)
     r.require_equal(
-        "coassociativity", kron(c.delta, i) @ c.delta, kron(i, c.delta) @ c.delta
+        "coassociativity",
+        apply_leg(c.delta, c.delta, legs, 0),
+        apply_leg(c.delta, c.delta, legs, 1),
     )
-    r.require_equal("left counit", kron(c.eps, i) @ c.delta, i)
-    r.require_equal("right counit", kron(i, c.eps) @ c.delta, i)
+    r.require_equal("left counit", apply_leg(c.eps, c.delta, legs, 0), i)
+    r.require_equal("right counit", apply_leg(c.eps, c.delta, legs, 1), i)
     return r
 
 
@@ -249,12 +259,11 @@ def check_bialgebra(a: BimonoidData) -> Report:
     r.merge(check_monoid(a.monoid))
     r.merge(check_comonoid(a.comonoid))
     d, p = a.dim, a.p
-    i = identity(p, d)
-    mid = kron(kron(i, swap_matrix(p, d, d)), i)
+    a1_b1_a2_b2 = permute_legs(kron(a.delta, a.delta), (d, d, d, d), (0, 2, 1, 3))
     r.require_equal(
         "comultiplication is multiplicative (I)",
         a.delta @ a.m,
-        kron(a.m, a.m) @ mid @ kron(a.delta, a.delta),
+        apply_leg(a.m, apply_leg(a.m, a1_b1_a2_b2, (d * d, d * d), 0), (d, d * d), 1),
     )
     r.require_equal("counit is multiplicative (II)", a.eps @ a.m, kron(a.eps, a.eps))
     r.require_equal("unit is group-like (III)", a.delta @ a.e, kron(a.e, a.e))
@@ -264,45 +273,52 @@ def check_bialgebra(a: BimonoidData) -> Report:
 
 def check_module(x: ModuleData, a: MonoidData) -> Report:
     r = Report(f"{x.side} module axioms")
-    p = a.p
-    ix = identity(p, x.dim)
     h = x.action
     if x.side == "right":
         _expect(h, (x.dim, x.dim * a.dim), "right action")
-        r.require_equal("action associativity", h @ kron(h, identity(p, a.dim)), h @ kron(ix, a.m))
-        r.require_equal("action unit", h @ kron(ix, a.e), ix)
+        legs, x_leg, a_leg = (x.dim, a.dim), 0, 1
     else:
         _expect(h, (x.dim, a.dim * x.dim), "left action")
-        r.require_equal("action associativity", h @ kron(identity(p, a.dim), h), h @ kron(a.m, ix))
-        r.require_equal("action unit", h @ kron(a.e, ix), ix)
+        legs, x_leg, a_leg = (a.dim, x.dim), 1, 0
+    # h.(h(x)I) = h.(I(x)m) and h.(I(x)e) = I (right side; mirrored on the
+    # left), each taken as the transpose of (one-leg map^T).h^T
+    ht = h.transpose()
+    r.require_equal(
+        "action associativity",
+        apply_leg(ht, ht, legs, x_leg).transpose(),
+        apply_leg(a.m.transpose(), ht, legs, a_leg).transpose(),
+    )
+    r.require_equal(
+        "action unit",
+        apply_leg(a.e.transpose(), ht, legs, a_leg).transpose(),
+        identity(a.p, x.dim),
+    )
     return r
 
 
 def check_right_comodule(dim: int, theta: FpMatrix, c: ComonoidData) -> Report:
     r = Report("right comodule axioms")
-    p = c.p
-    ix = identity(p, dim)
     _expect(theta, (dim * c.dim, dim), "right coaction")
+    legs = (dim, c.dim)
     r.require_equal(
         "coaction coassociativity",
-        kron(theta, identity(p, c.dim)) @ theta,
-        kron(ix, c.delta) @ theta,
+        apply_leg(theta, theta, legs, 0),
+        apply_leg(c.delta, theta, legs, 1),
     )
-    r.require_equal("coaction counit", kron(ix, c.eps) @ theta, ix)
+    r.require_equal("coaction counit", apply_leg(c.eps, theta, legs, 1), identity(c.p, dim))
     return r
 
 
 def check_left_comodule(dim: int, rho: FpMatrix, c: ComonoidData) -> Report:
     r = Report("left comodule axioms")
-    p = c.p
-    ix = identity(p, dim)
     _expect(rho, (c.dim * dim, dim), "left coaction")
+    legs = (c.dim, dim)
     r.require_equal(
         "coaction coassociativity",
-        kron(c.delta, ix) @ rho,
-        kron(identity(p, c.dim), rho) @ rho,
+        apply_leg(c.delta, rho, legs, 0),
+        apply_leg(rho, rho, legs, 1),
     )
-    r.require_equal("coaction counit", kron(c.eps, ix) @ rho, ix)
+    r.require_equal("coaction counit", apply_leg(c.eps, rho, legs, 0), identity(c.p, dim))
     return r
 
 
@@ -312,14 +328,13 @@ def check_comodule_algebra(b: ComoduleAlgebraData) -> Report:
     r = Report("comodule algebra axioms")
     a = b.over
     alg = b.algebra
-    p = a.p
     da, db = a.dim, alg.dim
     r.merge(check_left_comodule(db, b.rho, a.comonoid))
-    mid = kron(kron(identity(p, da), swap_matrix(p, db, da)), identity(p, db))
+    a1_a2_b1_b2 = permute_legs(kron(b.rho, b.rho), (da, db, da, db), (0, 2, 1, 3))
     r.require_equal(
         "coaction is multiplicative",
         b.rho @ alg.m,
-        kron(a.m, alg.m) @ mid @ kron(b.rho, b.rho),
+        apply_leg(alg.m, apply_leg(a.m, a1_a2_b1_b2, (da * da, db * db), 0), (da, db * db), 1),
     )
     r.require_equal("coaction preserves the unit", b.rho @ alg.e, kron(a.e, alg.e))
     return r
@@ -332,13 +347,9 @@ def check_comodule_algebra(b: ComoduleAlgebraData) -> Report:
 def opmonoidal_omega(a: BimonoidData, dx: int, dy: int) -> FpMatrix:
     """Colax structure of A(x)- on a pair of objects:
     A(x)X(x)Y -> (A(x)X)(x)(A(x)Y), a(x)x(x)y |-> a1(x)x(x)a2(x)y."""
-    p, da = a.p, a.dim
-    base = kron(a.delta, identity(p, dx * dy))
-    # the middle shuffle I(x)swap(x)I is a permutation; apply it as a row
-    # gather (a1, a2, x, y) -> (a1, x, a2, y) instead of a dense product
-    idx = np.arange(da * da * dx * dy).reshape(da, da, dx, dy)
-    idx = idx.transpose(0, 2, 1, 3).reshape(-1)
-    return FpMatrix(p, base.a[idx])
+    da = a.dim
+    base = kron(a.delta, identity(a.p, dx * dy))
+    return permute_legs(base, (da, da, dx, dy), (0, 2, 1, 3))
 
 
 def module_comonoid_of_coalgebra(a: BimonoidData, c: ComonoidData) -> ModuleComonoidData:

@@ -131,6 +131,28 @@ def test_generalized_exit_codes(capsys):
     assert code == 1
 
 
+def test_generalized_rejects_two_comonoid_roles(tmp_path, capsys):
+    raw = json.loads(serialize_instance(load_instance(fixture_path("regular_comodule_f3"))))
+    (name, role), = ((k, v) for k, v in raw["roles"].items() if v["kind"] == "comonoid")
+    raw["roles"]["C2"] = dict(role)
+    path = tmp_path / "two_comonoids.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "galois-generalized", str(path))
+    assert code == 2 and out == ""
+    assert "one comonoid role" in err and f"{name}, C2" in err
+
+
+def test_out_of_memory_exits_two(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "dispatch", exhausted)
+    code, out, err = run(capsys, "fundamental-theorem", fixture_path("kz2_f3"), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("entwine: error: out of memory") and "fundamental-theorem" in err
+    assert "Traceback" not in err
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -267,6 +289,48 @@ def test_each_bimonoid_proved_once_per_call(monkeypatch, capsys, command, name):
         assert len(calls) == 1
 
 
+def _z2_times_chain2(p):
+    """F_p[Z/2 x {0 < 1}] (max on the chain) with its group-like basis: a
+    bimonoid, not Hopf, with four characters and no witness module, so the
+    search visits every character."""
+    elements = [(g, c) for g in range(2) for c in range(2)]
+    n = len(elements)
+    m = [0] * (n * n * n)
+    for i, (g, c) in enumerate(elements):
+        for j, (h, d) in enumerate(elements):
+            m[elements.index(((g + h) % 2, max(c, d))) * n * n + i * n + j] = 1
+    delta = [0] * (n * n * n)
+    for i in range(n):
+        delta[(i * n + i) * n + i] = 1
+    return {
+        "field_p": p,
+        "objects": {"A": n},
+        "maps": {
+            "m": {"rows": n, "cols": n * n, "entries": m},
+            "e": {"rows": n, "cols": 1, "entries": [1] + [0] * (n - 1)},
+            "delta": {"rows": n * n, "cols": n, "entries": delta},
+            "eps": {"rows": 1, "cols": n, "entries": [1] * n},
+        },
+        "roles": {"A": {"kind": "bimonoid", "object": "A", "m": "m", "e": "e", "delta": "delta", "eps": "eps"}},
+    }
+
+
+@pytest.mark.parametrize("name", ("m2_f2", "z2_chain2_f3"))
+def test_group_likes_enumerated_once_per_search(monkeypatch, capsys, tmp_path, name):
+    if name == "m2_f2":
+        path = fixture_path(name)
+    else:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_z2_times_chain2(3)))
+    characters = _count_calls(monkeypatch, hopfmod, "find_characters")
+    group_likes = _count_calls(monkeypatch, hopfmod, "find_group_likes")
+    code, out, _ = run(capsys, "fundamental-theorem", str(path), "--json")
+    assert code == 1
+    assert len(characters) == 1 and len(group_likes) == 1
+    witness = [c for c in json.loads(out)["checks"] if "witness Hopf module" in c["name"]]
+    assert [c["verdict"] for c in witness] == ["PASS" if name == "m2_f2" else "FAIL"]
+
+
 @pytest.mark.parametrize(
     "command, name, code",
     (
@@ -294,6 +358,16 @@ def test_make_instance_round_trips(tmp_path, capsys):
     assert a.dim == 4
     code, _, _ = run(capsys, "galois", str(out_path))
     assert code == 0
+
+
+def test_dense_group_algebra_of_order_12(tmp_path, capsys):
+    # the leg-by-leg kernel keeps every intermediate near d^6 entries; a dense
+    # d^4 x d^4 swap would ask for 3.2 GiB here
+    out_path = tmp_path / "z12.json"
+    code, _, _ = run(capsys, "make-instance", "group-algebra", "--p", "5", "--order", "12", "--out", str(out_path))
+    assert code == 0
+    for command in ("check-bimonoid", "galois", "fundamental-theorem"):
+        assert run(capsys, command, str(out_path), "--json")[0] == 0, command
 
 
 def test_make_instance_stdout(capsys):

@@ -40,12 +40,12 @@ def test_braided_rejects_composite_modulus():
 
 def test_zeta_on_1221_is_the_transposition():
     ctx = braided_duoidal(3)
-    assert ctx.zeta(1, 2, 2, 1) == swap_matrix(3, 2, 2)
+    assert ctx.zeta(identity(3, 4), 1, 2, 2, 1) == swap_matrix(3, 2, 2)
 
 
 def test_zeta_on_1111_is_identity():
     ctx = braided_duoidal(3)
-    assert ctx.zeta(1, 1, 1, 1).is_identity()
+    assert ctx.zeta(identity(3, 1), 1, 1, 1, 1).is_identity()
 
 
 def test_zeroed_mu_fails_monoid_axioms():
@@ -56,15 +56,18 @@ def test_zeroed_mu_fails_monoid_axioms():
     rep = check_duoidal(ctx)
     v = verdicts(rep)
     assert v["(J, mu, tau) left unit"] is False
+    assert v["interchange unit squares"] is False
+    (square,) = (c for c in rep.checks if c.name == "interchange unit squares")
+    assert square.note == "mu right unit square at dims (1, 1)"
 
 
 def test_identity_zeta_fails_naturality():
     base = braided_duoidal(3)
 
-    def broken_zeta(dw, dx, dy, dz):
+    def broken_zeta(x, dw, dx, dy, dz):
         if (dw, dx, dy, dz) == (1, 2, 2, 1):
-            return identity(3, 4)
-        return base.zeta(dw, dx, dy, dz)
+            return x
+        return base.zeta(x, dw, dx, dy, dz)
 
     ctx = DuoidalCtx("broken", 3, 1, 1, broken_zeta, base.Delta, base.mu, base.tau)
     rep = check_duoidal(ctx, probe_dims=(1, 2))

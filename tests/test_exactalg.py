@@ -1,9 +1,16 @@
+import random
+from itertools import permutations
+from math import prod
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import entwine
 from entwine.exactalg import (
     FpMatrix,
     ShapeError,
+    apply_leg,
     cokernel_basis,
     fp_inv,
     identity,
@@ -11,6 +18,7 @@ from entwine.exactalg import (
     kernel_basis,
     kron,
     left_inverse,
+    permute_legs,
     rank,
     right_inverse,
     rref,
@@ -215,3 +223,92 @@ def test_zero_dimensional_edges():
     m = zeros(2, 0, 3)
     assert rank(m) == 0 and kernel_basis(m) == identity(2, 3)
     assert kron(zeros(2, 0, 0), identity(2, 2)).shape == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# tensor legs: gathers and one-leg contractions against the dense forms
+# ---------------------------------------------------------------------------
+
+def dense_leg_permutation(p, dims, perm):
+    """The matrix of V_0 (x) ... -> V_perm[0] (x) ..., composed from adjacent
+    transpositions I (x) swap_matrix (x) I."""
+    order, cur = list(range(len(dims))), list(dims)
+    mat = identity(p, prod(dims))
+    for i, leg in enumerate(perm):
+        j = order.index(leg)
+        while j > i:
+            pad = (identity(p, prod(cur[:j - 1])), identity(p, prod(cur[j + 1:])))
+            mat = kron(kron(pad[0], swap_matrix(p, cur[j - 1], cur[j])), pad[1]) @ mat
+            order[j - 1], order[j] = order[j], order[j - 1]
+            cur[j - 1], cur[j] = cur[j], cur[j - 1]
+            j -= 1
+    return mat
+
+
+def dense_leg_map(f, dims, leg):
+    """I (x) f (x) I with f on leg ``leg`` of a product with leg dims ``dims``."""
+    pre, post = prod(dims[:leg]), prod(dims[leg + 1:])
+    return kron(kron(identity(f.p, pre), f), identity(f.p, post))
+
+
+LEG_CASES = [
+    (k, perm, draw) for k in range(1, 5) for perm in permutations(range(k)) for draw in range(2)
+]
+
+
+@pytest.mark.parametrize("k, perm, draw", LEG_CASES)
+def test_permute_legs_matches_dense_permutation(k, perm, draw):
+    rng = random.Random(f"{perm}-{draw}")
+    nrng = np.random.default_rng(rng.randrange(2**32))
+    p = rng.choice((2, 5, 7))
+    dims = tuple(rng.randint(1, 4) for _ in range(k))
+    dense = dense_leg_permutation(p, dims, perm)
+    x = rand_matrix(nrng, p, prod(dims), rng.randint(1, 3))
+    assert permute_legs(x, dims, perm) == dense @ x
+    # columns: y @ P is the transpose of the inverse gather on the permuted legs
+    inv = tuple(perm.index(i) for i in range(k))
+    y = rand_matrix(nrng, p, rng.randint(1, 3), prod(dims))
+    permuted = tuple(dims[i] for i in perm)
+    assert permute_legs(y.transpose(), permuted, inv).transpose() == y @ dense
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("p", (5, 2**31 - 1))
+def test_apply_leg_matches_identity_padded_kron(k, p):
+    rng = random.Random(k)
+    nrng = np.random.default_rng(k)
+    for _ in range(3):
+        dims = tuple(rng.randint(1, 4) for _ in range(k))
+        for leg in range(k):
+            f = rand_matrix(nrng, p, rng.randint(0, 4), dims[leg])
+            x = rand_matrix(nrng, p, prod(dims), rng.randint(1, 3))
+            assert apply_leg(f, x, dims, leg) == dense_leg_map(f, dims, leg) @ x
+            # columns: y @ (I (x) f (x) I), legs of y's columns carry f's target
+            out = dims[:leg] + (f.rows,) + dims[leg + 1:]
+            y = rand_matrix(nrng, p, rng.randint(1, 3), prod(out))
+            got = apply_leg(f.transpose(), y.transpose(), out, leg).transpose()
+            assert got == y @ dense_leg_map(f, dims, leg)
+
+
+def test_leg_primitives_reject_bad_legs():
+    x = identity(3, 6)
+    with pytest.raises(ShapeError):
+        permute_legs(x, (2, 2), (1, 0))
+    with pytest.raises(ShapeError):
+        permute_legs(x, (2, 3), (0, 0))
+    with pytest.raises(ShapeError):
+        apply_leg(identity(3, 2), x, (2, 3), 1)
+    with pytest.raises(ShapeError):
+        apply_leg(identity(5, 3), x, (2, 3), 1)
+
+
+def test_only_exactalg_names_swap_matrix():
+    """Leg shuffles go through permute_legs; the dense swap is a reference
+    for tests only."""
+    package = Path(entwine.__file__).parent
+    users = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if path.name != "exactalg.py" and "swap_matrix" in path.read_text(encoding="utf-8")
+    )
+    assert users == []
