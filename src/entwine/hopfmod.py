@@ -18,7 +18,6 @@ verdict is positive, and a concrete obstruction module when it is not.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -27,6 +26,7 @@ import numpy as np
 from .exactalg import (
     FpMatrix,
     ShapeError,
+    _product,
     apply_leg,
     identity,
     inverse,
@@ -38,7 +38,7 @@ from .exactalg import (
     rref,
     solve,
 )
-from .report import PreconditionError, Report, require
+from .report import Report, UnsupportedError, require
 from .structures import (
     BimonoidData,
     ComonoidData,
@@ -63,9 +63,13 @@ __all__ = [
     "find_group_likes",
 ]
 
-# Character / group-like searches enumerate all of F_p^dim; this bound keeps
-# them desk-scale.
+# The character and group-like searches test every vector of F_p^dim, in
+# blocks; a larger p^dim is refused (UnsupportedError, exit 2) before any
+# block is built.
 _SEARCH_LIMIT = 200_000
+# Entries per d x d^2 block product (1 MB of int64): a block holds this many
+# entries divided by d^2 candidate rows.
+_SEARCH_BLOCK_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -236,34 +240,42 @@ def galois_map_generalized(b: ComoduleAlgebraData, c: ComonoidData) -> GaloisRep
 # character and group-like searches (witness machinery)
 # ---------------------------------------------------------------------------
 
-def _all_vectors(p: int, d: int):
-    if p**d > _SEARCH_LIMIT:
-        raise PreconditionError(f"search space p^dim = {p}^{d} exceeds the desk-scale cap")
-    return itertools.product(range(p), repeat=d)
+def _multiplicative_rows(p: int, unit: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Rows v of F_p^d with v.unit = 1 and v.mult = v(x)v, in lexicographic
+    order, for unit of shape (d, 1) and mult of shape (d, d^2).
+
+    Candidates are the base-p digit rows of consecutive integers, most
+    significant digit first, tested a block at a time with one product per
+    condition.
+    """
+    d = unit.shape[0]
+    total = p**d
+    if total > _SEARCH_LIMIT:
+        raise UnsupportedError(
+            f"witness search space p^dim = {p}^{d} = {total} exceeds the "
+            f"desk-scale cap of {_SEARCH_LIMIT}"
+        )
+    weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    step = _SEARCH_BLOCK_CELLS // max(d * d, 1)
+    hits = []
+    for start in range(0, total, step):
+        v = np.arange(start, min(start + step, total), dtype=np.int64)[:, None] // weights % p
+        v = v[_product(p, v, unit)[:, 0] == 1]
+        outer = (v[:, :, None] * v[:, None, :]).reshape(len(v), d * d) % p
+        hits.append(v[(_product(p, v, mult) == outer).all(axis=1)])
+    return np.concatenate(hits)
 
 
 def find_characters(a: BimonoidData) -> list:
     """All algebra maps A -> F_p, as rows, in lexicographic order."""
-    p, d = a.p, a.dim
-    out = []
-    one = identity(p, 1)
-    for vec in _all_vectors(p, d):
-        phi = FpMatrix.row(p, vec)
-        if phi @ a.e == one and phi @ a.m == kron(phi, phi):
-            out.append(phi)
-    return out
+    rows = _multiplicative_rows(a.p, a.e.a, a.m.a)
+    return [FpMatrix.row(a.p, v) for v in rows]
 
 
 def find_group_likes(c: ComonoidData) -> list:
     """All group-like columns t (delta t = t(x)t, eps t = 1), lexicographic."""
-    p, d = c.p, c.dim
-    out = []
-    one = identity(p, 1)
-    for vec in _all_vectors(p, d):
-        t = FpMatrix.column(p, vec)
-        if c.eps @ t == one and c.delta @ t == kron(t, t):
-            out.append(t)
-    return out
+    rows = _multiplicative_rows(c.p, c.eps.a.T, c.delta.a.T)
+    return [FpMatrix.column(c.p, t) for t in rows]
 
 
 def _witness_from_module(

@@ -9,6 +9,8 @@ criterion, so these oracles never call the checkers they validate.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -50,6 +52,38 @@ def comul_vec(c, u: np.ndarray) -> np.ndarray:
         if u[i]:
             out += int(u[i]) * comul_elem(c, i)
     return out % p
+
+
+def oracle_characters(a) -> list:
+    """Every algebra map phi: A -> F_p as a coordinate tuple, in the order of
+    itertools.product: phi(1) = 1 and phi(b_i . b_j) = phi(b_i) phi(b_j) on
+    every basis pair."""
+    d, p = a.dim, a.p
+    basis = np.eye(d, dtype=np.int64)
+    table = [(i, j, mul_vec(a, basis[i], basis[j])) for i in range(d) for j in range(d)]
+    e = unit_elem(a)
+    out = []
+    for phi in itertools.product(range(p), repeat=d):
+        f = np.array(phi, dtype=np.int64)
+        if int(f @ e) % p != 1:
+            continue
+        if all(int(f @ prod) % p == phi[i] * phi[j] % p for i, j, prod in table):
+            out.append(phi)
+    return out
+
+
+def oracle_group_likes(c) -> list:
+    """Every group-like t (delta t = t (x) t, eps t = 1) as a coordinate
+    tuple, in the order of itertools.product."""
+    d, p = c.dim, c.p
+    out = []
+    for t in itertools.product(range(p), repeat=d):
+        if sum(t[i] * counit_elem(c, i) for i in range(d)) % p != 1:
+            continue
+        u = np.array(t, dtype=np.int64)
+        if np.array_equal(comul_vec(c, u), np.outer(u, u) % p):
+            out.append(t)
+    return out
 
 
 def oracle_monoid(a) -> dict:

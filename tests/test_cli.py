@@ -13,7 +13,7 @@ from entwine.instances import (
     serialize_instance,
 )
 
-from conftest import ALL_FIXTURES, BIMONOID_FIXTURES
+from conftest import ALL_FIXTURES, BIMONOID_FIXTURES, chain_algebra, monoid_algebra
 
 
 def run(capsys, *argv):
@@ -294,25 +294,7 @@ def _z2_times_chain2(p):
     bimonoid, not Hopf, with four characters and no witness module, so the
     search visits every character."""
     elements = [(g, c) for g in range(2) for c in range(2)]
-    n = len(elements)
-    m = [0] * (n * n * n)
-    for i, (g, c) in enumerate(elements):
-        for j, (h, d) in enumerate(elements):
-            m[elements.index(((g + h) % 2, max(c, d))) * n * n + i * n + j] = 1
-    delta = [0] * (n * n * n)
-    for i in range(n):
-        delta[(i * n + i) * n + i] = 1
-    return {
-        "field_p": p,
-        "objects": {"A": n},
-        "maps": {
-            "m": {"rows": n, "cols": n * n, "entries": m},
-            "e": {"rows": n, "cols": 1, "entries": [1] + [0] * (n - 1)},
-            "delta": {"rows": n * n, "cols": n, "entries": delta},
-            "eps": {"rows": 1, "cols": n, "entries": [1] * n},
-        },
-        "roles": {"A": {"kind": "bimonoid", "object": "A", "m": "m", "e": "e", "delta": "delta", "eps": "eps"}},
-    }
+    return monoid_algebra(p, elements, lambda x, y: ((x[0] + y[0]) % 2, max(x[1], y[1])))
 
 
 @pytest.mark.parametrize("name", ("m2_f2", "z2_chain2_f3"))
@@ -329,6 +311,18 @@ def test_group_likes_enumerated_once_per_search(monkeypatch, capsys, tmp_path, n
     assert len(characters) == 1 and len(group_likes) == 1
     witness = [c for c in json.loads(out)["checks"] if "witness Hopf module" in c["name"]]
     assert [c["verdict"] for c in witness] == ["PASS" if name == "m2_f2" else "FAIL"]
+
+
+def test_search_cap_exits_two(capsys, tmp_path):
+    # a valid non-Hopf bimonoid whose witness search would test 5^8 = 390625
+    # candidates: a resource limit (exit 2), not a refutation (exit 1)
+    path = tmp_path / "chain8_f5.json"
+    path.write_text(json.dumps(chain_algebra(5, 8)))
+    for argv in ((), ("--json",)):
+        code, out, err = run(capsys, "fundamental-theorem", str(path), *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "5^8 = 390625" in err and "200000" in err
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from entwine import exactalg, hopfmod
 from entwine.duoidal import braided_duoidal, galois_map_Kprime
 from entwine.exactalg import (
     FpMatrix,
@@ -13,7 +15,8 @@ from entwine.exactalg import (
     rank,
     swap_matrix,
 )
-from entwine.report import PreconditionError
+from entwine.instances import instance_from_dict
+from entwine.report import PreconditionError, UnsupportedError
 from entwine.structures import (
     BimonoidData,
     ComonoidData,
@@ -37,10 +40,11 @@ from entwine.hopfmod import (
 from conftest import (
     BIMONOID_FIXTURES,
     HOPF_FIXTURES,
+    chain_algebra,
     corpus_bimonoid,
     corpus_instance,
 )
-from oracles import oracle_beta, oracle_pentagon
+from oracles import oracle_beta, oracle_characters, oracle_group_likes, oracle_pentagon
 
 
 def regular_module(a: BimonoidData) -> HopfModuleData:
@@ -282,6 +286,105 @@ def test_characters_and_group_likes_of_group_algebra():
     assert [c.a.tolist() for c in chars] == [[[1, 1]], [[1, 2]]]
     likes = find_group_likes(a.comonoid)
     assert [t.a.tolist() for t in likes] == [[[0], [1]], [[1], [0]]]
+
+
+def _tuples(found) -> list:
+    return [tuple(x.a.ravel().tolist()) for x in found]
+
+
+def _bimonoid(p, d, m, e, delta, eps) -> BimonoidData:
+    return BimonoidData(
+        MonoidData(d, FpMatrix(p, m), FpMatrix(p, e)),
+        ComonoidData(d, FpMatrix(p, delta), FpMatrix(p, eps)),
+    )
+
+
+def _chain(p, n) -> BimonoidData:
+    (_, a), = instance_from_dict(chain_algebra(p, n)).roles_of("bimonoid")
+    return a
+
+
+def _assert_searches_match_oracles(a: BimonoidData) -> None:
+    chars, likes = find_characters(a), find_group_likes(a.comonoid)
+    assert all(c.shape == (1, a.dim) for c in chars)
+    assert all(t.shape == (a.dim, 1) for t in likes)
+    assert _tuples(chars) == oracle_characters(a)
+    assert _tuples(likes) == oracle_group_likes(a.comonoid)
+
+
+@st.composite
+def random_structure_constants(draw) -> BimonoidData:
+    # BimonoidData checks shapes only, so any constants make a search input
+    p = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.integers(1, 4))
+
+    def entries(rows, cols):
+        if draw(st.booleans()):  # one basis vector per column, as in a monoid algebra
+            hot = draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols))
+            return np.eye(rows, dtype=np.int64)[:, hot]
+        flat = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+    return _bimonoid(p, d, entries(d, d * d), entries(d, 1), entries(d * d, d), entries(1, d))
+
+
+@st.composite
+def mutated_fixtures(draw) -> BimonoidData:
+    a = corpus_bimonoid(draw(st.sampled_from(BIMONOID_FIXTURES)))
+    maps = {"m": a.m.a, "e": a.e.a, "delta": a.delta.a, "eps": a.eps.a}
+    name = draw(st.sampled_from(sorted(maps)))
+    changed = np.array(maps[name])
+    k = draw(st.integers(0, changed.size - 1))
+    changed.flat[k] = (changed.flat[k] + draw(st.integers(1, a.p - 1))) % a.p
+    maps[name] = changed
+    return _bimonoid(a.p, a.dim, maps["m"], maps["e"], maps["delta"], maps["eps"])
+
+
+def test_searches_match_oracles_on_fixtures(bimonoid_fixture):
+    _assert_searches_match_oracles(bimonoid_fixture[1])
+
+
+@given(random_structure_constants())
+def test_searches_match_oracles_on_random_structure_constants(a):
+    _assert_searches_match_oracles(a)
+
+
+@given(mutated_fixtures())
+def test_searches_match_oracles_on_mutated_fixtures(a):
+    _assert_searches_match_oracles(a)
+
+
+def test_searches_test_candidates_in_blocks(monkeypatch):
+    a = _chain(7, 5)  # 7^5 = 16807 candidates per search
+    product = exactalg._product
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(exactalg, "_product", counted)
+    monkeypatch.setattr(hopfmod, "_product", counted)
+    chars, likes = find_characters(a), find_group_likes(a.comonoid)
+    assert len(calls) < 100
+    # a chain under max: the characters are the indicators of its down-sets,
+    # the group-likes its elements
+    assert _tuples(chars) == [(1,) * k + (0,) * (5 - k) for k in range(1, 6)]
+    assert _tuples(likes) == [tuple(int(i == j) for j in range(5)) for i in reversed(range(5))]
+
+
+def test_search_over_the_cap_refused_before_any_block(monkeypatch):
+    a = _chain(5, 8)  # 5^8 = 390625 candidates, over the cap of 200000
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a candidate block was built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "arange", no_block)
+        mp.setattr(hopfmod, "_product", no_block)
+        for search, arg in ((find_characters, a), (find_group_likes, a.comonoid)):
+            with pytest.raises(UnsupportedError, match=r"5\^8 = 390625 .* 200000"):
+                search(arg)
 
 
 # ---------------------------------------------------------------------------
