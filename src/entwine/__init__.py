@@ -63,7 +63,6 @@ from .duoidal import (
     braided_duoidal,
     check_bimonoid,
     check_duoidal,
-    entwining_via_ctx,
     galois_map_Kprime,
     tau_splitting,
 )

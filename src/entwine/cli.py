@@ -4,8 +4,9 @@
     entwine make-instance <kind> --p P [--order N] [--out PATH]
 
 Exit codes: 0 = all checks pass / Galois, 1 = a check fails / not Galois,
-2 = usage or input error, or out of memory.  ``--json`` reports are
-deterministic: identical inputs and flags produce byte-identical output.
+2 = usage or input error, out of memory, or an internal error.  ``--json``
+reports are deterministic: identical inputs and flags produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from typing import Optional
 from .exactalg import FpMatrix
 from .report import PreconditionError, Report, UnsupportedError
 from . import structures
-from .duoidal import (
-    braided_duoidal,
-    check_bimonoid,
-    check_duoidal,
-    galois_map_Kprime,
-    tau_splitting,
-)
+from .duoidal import braided_duoidal, check_duoidal, galois_map_Kprime, tau_splitting
 from .entwining import check_entwining, entwining_from_bimonoid
 from .hopfmod import (
     GaloisReport,
@@ -127,11 +122,8 @@ def _run_command(command: str, inst: Optional[InstanceFile], rep: Report, sample
         for name, com in _need(_comonoid_views(inst), "comonoid"):
             rep.merge(structures.check_comonoid(com), prefix=f"{name}: ")
     elif command == "check-bimonoid":
-        ctx = braided_duoidal(inst.field_p)
         for name, a in _need(inst.roles_of("bimonoid"), "bimonoid"):
-            rep.merge(structures.check_monoid(a.monoid), prefix=f"{name}: monoid ")
-            rep.merge(structures.check_comonoid(a.comonoid), prefix=f"{name}: comonoid ")
-            rep.merge(check_bimonoid(a, ctx), prefix=f"{name}: ")
+            rep.merge(a.axioms, prefix=f"{name}: ")
     elif command == "check-comodule-algebra":
         for name, b in _need(inst.roles_of("comodule-algebra"), "comodule-algebra"):
             rep.merge(b.over.axioms, prefix=f"{name}: base ")
@@ -322,11 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    what = args.kind if args.command == "make-instance" else args.instance
     try:
         return _run(args)
     except MemoryError:
-        what = args.kind if args.command == "make-instance" else args.instance
         return _fail(f"out of memory running {args.command} on {what}")
+    except Exception as exc:  # a defect, not a refutation: never exit 1
+        detail = " ".join(str(exc).split())
+        return _fail(f"{type(exc).__name__} running {args.command} on {what}: {detail}")
 
 
 def _run(args: argparse.Namespace) -> int:

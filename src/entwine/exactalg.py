@@ -404,15 +404,6 @@ def cokernel_basis(m: FpMatrix) -> FpMatrix:
 
     The rows express the quotient in the coordinates of the non-pivot
     positions of a row-reduced basis of the image; ``P @ m == 0`` and P has
-    full row rank ``rows - rank(m)``.
+    full row rank ``rows - rank(m)``: the transposed kernel basis of m^T.
     """
-    red, _, pivots = rref(m.transpose())
-    n = m.rows
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    proj = np.zeros((len(free), n), dtype=np.int64)
-    for j, fc in enumerate(free):
-        proj[j, fc] = 1
-        for i, pc in enumerate(pivots):
-            proj[j, pc] = (-int(red.a[i, fc])) % m.p
-    return FpMatrix(m.p, proj)
+    return kernel_basis(m.transpose()).transpose()

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from .exactalg import (
     FpMatrix,
     ShapeError,
@@ -98,9 +100,11 @@ class ComonoidData:
 @dataclass(frozen=True)
 class BimonoidData:
     """A monoid and a comonoid on one carrier; compatibility is checked on
-    demand (check_bialgebra here, check_bimonoid in the duoidal module), not
-    assumed at construction.  Constructors that need a bimonoid read the
-    memoised ``axioms``, so each object is proved at most once."""
+    demand, not assumed at construction.  Diagrams (I)-(IV) are written once,
+    through an interchange action: check_bialgebra runs them in the
+    symmetric context, check_bimonoid in the duoidal module through a
+    context's maps.  Constructors that need a bimonoid read the memoised
+    ``axioms``, so each object is proved at most once."""
 
     monoid: MonoidData
     comonoid: ComonoidData
@@ -250,24 +254,54 @@ def check_comonoid(c: ComonoidData) -> Report:
     return r
 
 
+def _middle_transposition(x: FpMatrix, dw: int, dx: int, dy: int, dz: int) -> FpMatrix:
+    """The interchange of the symmetric context, applied to the rows of x:
+    W(x)X(x)Y(x)Z -> W(x)Y(x)X(x)Z, as a row gather."""
+    return permute_legs(x, (dw, dx, dy, dz), (0, 2, 1, 3))
+
+
+# entries of one column block of law (I): d <= 10 runs as a single block
+_LAW_ONE_CELLS = 1 << 20
+
+
+def _law_one_rhs(a: BimonoidData, zeta) -> FpMatrix:
+    """(m(x)m).zeta.(delta(x)delta), over column blocks of the second delta:
+    a block of b columns holds d^5 * b entries, and b is the most that
+    _LAW_ONE_CELLS allows, one at least."""
+    d = a.dim
+    step = max(1, _LAW_ONE_CELLS // max(d**5, 1))
+
+    def block(second: FpMatrix) -> FpMatrix:
+        a1_b1_a2_b2 = zeta(kron(a.delta, second), d, d, d, d)
+        return apply_leg(a.m, apply_leg(a.m, a1_b1_a2_b2, (d * d, d * d), 0), (d, d * d), 1)
+
+    if step >= d:
+        return block(a.delta)
+    blocks = [block(FpMatrix(a.p, a.delta.a[:, j:j + step])) for j in range(0, d, step)]
+    # a block's columns are (i, j in the block); interleave them back to (i, j)
+    cols = np.concatenate([b.a.reshape(d * d, d, -1) for b in blocks], axis=2)
+    return FpMatrix._reduced(a.p, cols.reshape(d * d, d * d))
+
+
+def _bimonoid_diagrams(r: Report, a: BimonoidData, zeta, mu, Delta, tau) -> None:
+    """Add bimonoid diagrams (I)-(IV) of ``a`` to r, through the interchange
+    action zeta (as in a duoidal context) and the unit maps mu: J o J -> J,
+    Delta: I -> I * I and tau: I -> J, both units one-dimensional."""
+    r.require_equal("comultiplication is multiplicative (I)", a.delta @ a.m, _law_one_rhs(a, zeta))
+    r.require_equal("counit is multiplicative (II)", a.eps @ a.m, mu @ kron(a.eps, a.eps))
+    r.require_equal("unit is group-like (III)", a.delta @ a.e, kron(a.e, a.e) @ Delta)
+    r.require_equal("counit of unit (IV)", a.eps @ a.e, tau)
+
+
 def check_bialgebra(a: BimonoidData) -> Report:
-    """Bimonoid diagrams (I)-(IV) specialized to the symmetric context where
-    both monoidal products are the plain tensor product (the braided
-    duoidal instance).  The duoidal module re-checks these through an
-    arbitrary interchange law."""
+    """Monoid and comonoid axioms, then bimonoid diagrams (I)-(IV) in the
+    symmetric context: both monoidal products the plain tensor product, the
+    interchange the middle transposition, the unit maps 1x1 identities."""
     r = Report("bialgebra axioms")
     r.merge(check_monoid(a.monoid))
     r.merge(check_comonoid(a.comonoid))
-    d, p = a.dim, a.p
-    a1_b1_a2_b2 = permute_legs(kron(a.delta, a.delta), (d, d, d, d), (0, 2, 1, 3))
-    r.require_equal(
-        "comultiplication is multiplicative (I)",
-        a.delta @ a.m,
-        apply_leg(a.m, apply_leg(a.m, a1_b1_a2_b2, (d * d, d * d), 0), (d, d * d), 1),
-    )
-    r.require_equal("counit is multiplicative (II)", a.eps @ a.m, kron(a.eps, a.eps))
-    r.require_equal("unit is group-like (III)", a.delta @ a.e, kron(a.e, a.e))
-    r.require_equal("counit of unit (IV)", a.eps @ a.e, identity(p, 1))
+    one = identity(a.p, 1)
+    _bimonoid_diagrams(r, a, _middle_transposition, one, one, one)
     return r
 
 
@@ -330,7 +364,7 @@ def check_comodule_algebra(b: ComoduleAlgebraData) -> Report:
     alg = b.algebra
     da, db = a.dim, alg.dim
     r.merge(check_left_comodule(db, b.rho, a.comonoid))
-    a1_a2_b1_b2 = permute_legs(kron(b.rho, b.rho), (da, db, da, db), (0, 2, 1, 3))
+    a1_a2_b1_b2 = _middle_transposition(kron(b.rho, b.rho), da, db, da, db)
     r.require_equal(
         "coaction is multiplicative",
         b.rho @ alg.m,
@@ -349,7 +383,7 @@ def opmonoidal_omega(a: BimonoidData, dx: int, dy: int) -> FpMatrix:
     A(x)X(x)Y -> (A(x)X)(x)(A(x)Y), a(x)x(x)y |-> a1(x)x(x)a2(x)y."""
     da = a.dim
     base = kron(a.delta, identity(a.p, dx * dy))
-    return permute_legs(base, (da, da, dx, dy), (0, 2, 1, 3))
+    return _middle_transposition(base, da, da, dx, dy)
 
 
 def module_comonoid_of_coalgebra(a: BimonoidData, c: ComonoidData) -> ModuleComonoidData:

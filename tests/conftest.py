@@ -1,12 +1,15 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from entwine.exactalg import FpMatrix
 from entwine.instances import fixture_path, load_instance
+from entwine.structures import BimonoidData, ComonoidData, MonoidData
 
 # Property sweeps draw the same examples on every run and write no example
 # database, so a failure reproduces from the test name alone.
@@ -61,6 +64,41 @@ def monoid_algebra(p, elements, op):
 def chain_algebra(p, n):
     """F_p[{0 < 1 < ... < n-1}] under max: a bimonoid, not Hopf for n > 1."""
     return monoid_algebra(p, list(range(n)), max)
+
+
+def bimonoid_from_constants(p, d, m, e, delta, eps) -> BimonoidData:
+    return BimonoidData(
+        MonoidData(d, FpMatrix(p, m), FpMatrix(p, e)),
+        ComonoidData(d, FpMatrix(p, delta), FpMatrix(p, eps)),
+    )
+
+
+@st.composite
+def random_structure_constants(draw) -> BimonoidData:
+    # BimonoidData checks shapes only, so any constants make a checker input
+    p = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.integers(1, 4))
+
+    def entries(rows, cols):
+        if draw(st.booleans()):  # one basis vector per column, as in a monoid algebra
+            hot = draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols))
+            return np.eye(rows, dtype=np.int64)[:, hot]
+        flat = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+    return bimonoid_from_constants(p, d, entries(d, d * d), entries(d, 1), entries(d * d, d), entries(1, d))
+
+
+@st.composite
+def mutated_fixtures(draw) -> BimonoidData:
+    a = corpus_bimonoid(draw(st.sampled_from(BIMONOID_FIXTURES)))
+    maps = {"m": a.m.a, "e": a.e.a, "delta": a.delta.a, "eps": a.eps.a}
+    name = draw(st.sampled_from(sorted(maps)))
+    changed = np.array(maps[name])
+    k = draw(st.integers(0, changed.size - 1))
+    changed.flat[k] = (changed.flat[k] + draw(st.integers(1, a.p - 1))) % a.p
+    maps[name] = changed
+    return bimonoid_from_constants(a.p, a.dim, maps["m"], maps["e"], maps["delta"], maps["eps"])
 
 
 @pytest.fixture(params=BIMONOID_FIXTURES)

@@ -153,6 +153,27 @@ def test_out_of_memory_exits_two(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_internal_error_exits_two(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setattr(cli, "dispatch", broken)
+    code, out, err = run(capsys, "galois", fixture_path("kz2_f3"), "--json")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("entwine: error: RuntimeError running galois on ")
+    assert err.endswith(": unexpected state\n")
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_check_bimonoid_rows_are_the_derive_entwining_preconditions(capsys, name):
+    code, out, _ = run(capsys, "check-bimonoid", fixture_path(name), "--json")
+    rows = json.loads(out)["checks"]
+    derived = json.loads(run(capsys, "derive-entwining", fixture_path(name), "--json")[1])
+    assert code == 0 and rows == derived["checks"][: len(rows)]
+    assert not any("entwining" in c["name"] for c in rows)
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -278,6 +299,7 @@ def _count_calls(monkeypatch, module, name):
         ("fundamental-theorem", "sweedler_f5"),
         ("galois", "kz2_f3"),
         ("derive-entwining", "kz2_f3"),
+        ("check-bimonoid", "kz2_f3"),
     ),
 )
 def test_each_bimonoid_proved_once_per_call(monkeypatch, capsys, command, name):
@@ -355,8 +377,9 @@ def test_make_instance_round_trips(tmp_path, capsys):
 
 
 def test_dense_group_algebra_of_order_12(tmp_path, capsys):
-    # the leg-by-leg kernel keeps every intermediate near d^6 entries; a dense
-    # d^4 x d^4 swap would ask for 3.2 GiB here
+    # the leg-by-leg kernel and law (I) in column blocks keep every
+    # intermediate within a few times d^5 entries; a dense d^4 x d^4 swap
+    # would ask for 3.2 GiB here
     out_path = tmp_path / "z12.json"
     code, _, _ = run(capsys, "make-instance", "group-algebra", "--p", "5", "--order", "12", "--out", str(out_path))
     assert code == 0

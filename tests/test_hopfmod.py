@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from entwine import exactalg, hopfmod
 from entwine.duoidal import braided_duoidal, galois_map_Kprime
@@ -43,6 +43,8 @@ from conftest import (
     chain_algebra,
     corpus_bimonoid,
     corpus_instance,
+    mutated_fixtures,
+    random_structure_constants,
 )
 from oracles import oracle_beta, oracle_characters, oracle_group_likes, oracle_pentagon
 
@@ -292,13 +294,6 @@ def _tuples(found) -> list:
     return [tuple(x.a.ravel().tolist()) for x in found]
 
 
-def _bimonoid(p, d, m, e, delta, eps) -> BimonoidData:
-    return BimonoidData(
-        MonoidData(d, FpMatrix(p, m), FpMatrix(p, e)),
-        ComonoidData(d, FpMatrix(p, delta), FpMatrix(p, eps)),
-    )
-
-
 def _chain(p, n) -> BimonoidData:
     (_, a), = instance_from_dict(chain_algebra(p, n)).roles_of("bimonoid")
     return a
@@ -310,34 +305,6 @@ def _assert_searches_match_oracles(a: BimonoidData) -> None:
     assert all(t.shape == (a.dim, 1) for t in likes)
     assert _tuples(chars) == oracle_characters(a)
     assert _tuples(likes) == oracle_group_likes(a.comonoid)
-
-
-@st.composite
-def random_structure_constants(draw) -> BimonoidData:
-    # BimonoidData checks shapes only, so any constants make a search input
-    p = draw(st.sampled_from((2, 3, 5)))
-    d = draw(st.integers(1, 4))
-
-    def entries(rows, cols):
-        if draw(st.booleans()):  # one basis vector per column, as in a monoid algebra
-            hot = draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols))
-            return np.eye(rows, dtype=np.int64)[:, hot]
-        flat = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
-        return np.array(flat, dtype=np.int64).reshape(rows, cols)
-
-    return _bimonoid(p, d, entries(d, d * d), entries(d, 1), entries(d * d, d), entries(1, d))
-
-
-@st.composite
-def mutated_fixtures(draw) -> BimonoidData:
-    a = corpus_bimonoid(draw(st.sampled_from(BIMONOID_FIXTURES)))
-    maps = {"m": a.m.a, "e": a.e.a, "delta": a.delta.a, "eps": a.eps.a}
-    name = draw(st.sampled_from(sorted(maps)))
-    changed = np.array(maps[name])
-    k = draw(st.integers(0, changed.size - 1))
-    changed.flat[k] = (changed.flat[k] + draw(st.integers(1, a.p - 1))) % a.p
-    maps[name] = changed
-    return _bimonoid(a.p, a.dim, maps["m"], maps["e"], maps["delta"], maps["eps"])
 
 
 def test_searches_match_oracles_on_fixtures(bimonoid_fixture):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from entwine import structures
+from entwine.duoidal import braided_duoidal, check_bimonoid
 from entwine.exactalg import FpMatrix, identity, kron, rank, solve, inverse, cokernel_basis
 from entwine.report import PreconditionError, UnsupportedError
 from entwine.structures import (
@@ -20,7 +23,13 @@ from entwine.structures import (
     tensor_over_A,
 )
 
-from conftest import BIMONOID_FIXTURES, corpus_bimonoid, corpus_instance
+from conftest import (
+    BIMONOID_FIXTURES,
+    corpus_bimonoid,
+    corpus_instance,
+    mutated_fixtures,
+    random_structure_constants,
+)
 from oracles import oracle_bialgebra, oracle_comonoid, oracle_monoid
 
 
@@ -95,6 +104,49 @@ def test_checker_verdicts_match_oracle_on_corpus(name):
     bial = verdicts(check_bialgebra(a))
     for diag, ok in oracle_bialgebra(a).items():
         assert bial[diag] == ok
+
+
+# ---------------------------------------------------------------------------
+# the one bimonoid law, swept against the oracle in column blocks
+# ---------------------------------------------------------------------------
+
+def _assert_diagrams_match_oracle(a: BimonoidData, cells: int) -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structures, "_LAW_ONE_CELLS", cells)
+        oracle = oracle_bialgebra(a)
+        bial = verdicts(check_bialgebra(a))
+        assert {k: bial[k] for k in oracle} == oracle
+        assert verdicts(check_bimonoid(a, braided_duoidal(a.p))) == oracle
+
+
+# budgets from one column per block up to one block for dim 4
+budgets = st.integers(1, 2 * 4**6)
+
+
+@given(random_structure_constants(), budgets)
+def test_bimonoid_diagrams_match_oracle_on_random_structure_constants(a, cells):
+    _assert_diagrams_match_oracle(a, cells)
+
+
+@given(mutated_fixtures(), budgets)
+def test_bimonoid_diagrams_match_oracle_on_mutated_fixtures(a, cells):
+    _assert_diagrams_match_oracle(a, cells)
+
+
+@pytest.mark.parametrize("cells", (1, 2 * 4**5, 3 * 4**5, 4**6))
+def test_law_one_blocks_give_the_single_block_report(monkeypatch, cells):
+    # one entry of m bumped breaks (I); each block size must name the same
+    # first difference, since the report prints it
+    a = corpus_bimonoid("sweedler_f5")
+    bad = BimonoidData(MonoidData(4, flip_entry(a.m, 1, 5, 3), a.e), a.comonoid)
+    whole = check_bialgebra(bad).checks
+    kron_calls = []
+    monkeypatch.setattr(structures, "_LAW_ONE_CELLS", cells)
+    monkeypatch.setattr(structures, "kron", lambda *args: kron_calls.append(args) or kron(*args))
+    (law_one,) = (c for c in check_bialgebra(bad).checks if c.name.endswith("(I)"))
+    assert law_one in whole and law_one.counterexample is not None
+    # (II) and (III) take one kron each; the rest are the blocks of (I)
+    assert len(kron_calls) - 2 == -(-4 // max(1, cells // 4**5))
 
 
 # ---------------------------------------------------------------------------
