@@ -265,22 +265,22 @@ _LAW_ONE_CELLS = 1 << 20
 
 
 def _law_one_rhs(a: BimonoidData, zeta) -> FpMatrix:
-    """(m(x)m).zeta.(delta(x)delta), over column blocks of the second delta:
-    a block of b columns holds d^5 * b entries, and b is the most that
-    _LAW_ONE_CELLS allows, one at least."""
+    """(m(x)m).zeta.(delta(x)delta), over column blocks of the first delta:
+    columns i of the first delta give the result's columns (i, j), a
+    contiguous range.  A block of b columns holds d^5 * b entries, and b is
+    the most that _LAW_ONE_CELLS allows, one at least."""
     d = a.dim
     step = max(1, _LAW_ONE_CELLS // max(d**5, 1))
 
-    def block(second: FpMatrix) -> FpMatrix:
-        a1_b1_a2_b2 = zeta(kron(a.delta, second), d, d, d, d)
-        return apply_leg(a.m, apply_leg(a.m, a1_b1_a2_b2, (d * d, d * d), 0), (d, d * d), 1)
+    # a function, so that a block's d^5 * b arrays are freed before the next
+    def block(first: FpMatrix) -> np.ndarray:
+        a1_b1_a2_b2 = zeta(kron(first, a.delta), d, d, d, d)
+        return apply_leg(a.m, apply_leg(a.m, a1_b1_a2_b2, (d * d, d * d), 0), (d, d * d), 1).a
 
-    if step >= d:
-        return block(a.delta)
-    blocks = [block(FpMatrix(a.p, a.delta.a[:, j:j + step])) for j in range(0, d, step)]
-    # a block's columns are (i, j in the block); interleave them back to (i, j)
-    cols = np.concatenate([b.a.reshape(d * d, d, -1) for b in blocks], axis=2)
-    return FpMatrix._reduced(a.p, cols.reshape(d * d, d * d))
+    out = np.empty((d * d, d * d), dtype=np.int64)
+    for i in range(0, d, step):
+        out[:, i * d:(i + step) * d] = block(FpMatrix._reduced(a.p, a.delta.a[:, i:i + step]))
+    return FpMatrix._reduced(a.p, out)
 
 
 def _bimonoid_diagrams(r: Report, a: BimonoidData, zeta, mu, Delta, tau) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from entwine import structures
 from entwine.duoidal import braided_duoidal, check_bimonoid
 from entwine.exactalg import FpMatrix, identity, kron, rank, solve, inverse, cokernel_basis
+from entwine.instances import build_instance
 from entwine.report import PreconditionError, UnsupportedError
 from entwine.structures import (
     BimonoidData,
@@ -147,6 +150,23 @@ def test_law_one_blocks_give_the_single_block_report(monkeypatch, cells):
     assert law_one in whole and law_one.counterexample is not None
     # (II) and (III) take one kron each; the rest are the blocks of (I)
     assert len(kron_calls) - 2 == -(-4 // max(1, cells // 4**5))
+
+
+def test_law_one_blocks_do_not_outlive_their_turn(monkeypatch):
+    # one column per block: a block holds two d^5 arrays at once (the kron
+    # and its gather, or the gather and its float64 copy); a third would mean
+    # the previous block is still alive while the next is built
+    (_, a), = build_instance("group-algebra", 5, 12).roles_of("bimonoid")
+    block_bytes = 8 * a.dim**5
+    monkeypatch.setattr(structures, "_LAW_ONE_CELLS", 1)
+    tracemalloc.start()
+    try:
+        rhs = structures._law_one_rhs(a, structures._middle_transposition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rhs == a.delta @ a.m
+    assert peak < 2.5 * block_bytes, (peak, block_bytes)
 
 
 # ---------------------------------------------------------------------------
