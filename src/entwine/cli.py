@@ -12,6 +12,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Optional
@@ -198,18 +199,20 @@ def _run_command(command: str, inst: Optional[InstanceFile], rep: Report, sample
 # rendering
 # ---------------------------------------------------------------------------
 
-def _matrix_json(m: FpMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "entries": m.entries_rowmajor()}
-
-
-def _data_json(data: dict) -> dict:
-    out = {}
-    for k, v in data.items():
-        out[k] = _matrix_json(v) if isinstance(v, FpMatrix) else v
-    return out
-
-
 def report_json(rep: Report) -> str:
+    """The report as ``json.dumps(..., sort_keys=True, indent=2,
+    ensure_ascii=True)`` would print it, at C speed.
+
+    json.dumps with an indent runs the pure-Python encoder, one call per
+    entry.  So the skeleton is dumped with each matrix's ``entries`` list
+    replaced by a placeholder string, and each placeholder is then spliced
+    out for its list, one entry per line, indented one level below the
+    placeholder's own line.  The placeholders carry a salt, raised until
+    each occurs exactly once in the skeleton, so no other string of the
+    report is ever taken for one.
+    """
+    matrices = {k: v for k, v in rep.data.items() if isinstance(v, FpMatrix)}
+    slots = {k: {"rows": v.rows, "cols": v.cols} for k, v in matrices.items()}
     payload = {
         "command": rep.title,
         "instance": rep.subject,
@@ -223,10 +226,31 @@ def report_json(rep: Report) -> str:
             }
             for c in rep.checks
         ],
-        "data": _data_json(rep.data),
+        "data": {k: slots.get(k, v) for k, v in rep.data.items()},
         "exit": rep.exit_status,
     }
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    for salt in itertools.count():
+        for i, slot in enumerate(slots.values()):
+            slot["entries"] = f"entries {salt}:{i}"
+        text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+        marks = [f'"entries": "{slot["entries"]}"' for slot in slots.values()]
+        if all(text.count(mark) == 1 for mark in marks):
+            break
+    found = sorted((text.index(mark), mark, m) for mark, m in zip(marks, matrices.values()))
+    pieces, done = [], 0
+    for at, mark, m in found:
+        pad = text[text.rindex("\n", 0, at) + 1:at]
+        pieces.append(text[done:at + len('"entries": ')])
+        if m.a.size:
+            # the repr of a list of ints is its entries joined by ", "
+            inner = pad + "  "
+            flat = str(m.a.reshape(-1).tolist())[1:-1].replace(", ", ",\n" + inner)
+            pieces.append("[\n" + inner + flat + "\n" + pad + "]")
+        else:
+            pieces.append("[]")
+        done = at + len(mark)
+    pieces.append(text[done:])
+    return "".join(pieces)
 
 
 def _antipode_table(s: FpMatrix, labels) -> str:
@@ -277,7 +301,7 @@ def render_human(rep: Report) -> str:
                 lines.append(f"antipode: {_antipode_table(val, labels)}")
             lines.append(f"{key} =")
             for row in val.a.tolist():
-                lines.append("  " + " ".join(str(x) for x in row))
+                lines.append("  " + " ".join(map(str, row)))
         else:
             lines.append(f"{key}: {val}")
     lines.append("")

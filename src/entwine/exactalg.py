@@ -154,7 +154,7 @@ class FpMatrix:
         return int(self.a[i, j])
 
     def entries_rowmajor(self) -> list:
-        return [int(x) for x in self.a.reshape(-1)]
+        return self.a.reshape(-1).tolist()
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and bool(
@@ -312,30 +312,35 @@ def rref(m: FpMatrix) -> tuple:
     Returns ``(R, rank, pivots)`` with pivots as a tuple of column indices.
     Deterministic: columns scanned left to right, the first nonzero entry at
     or below the current row becomes the pivot.
+
+    Each pivot costs array operations only.  Rows at and below the current
+    row are zero left of the current column, so the swap, the scaling and
+    the rank-1 update touch columns ``c:`` alone, and the update touches
+    only the rows with a nonzero in column c.  Entries stay below p < 2^31,
+    so every product is below 2^62 and int64 is exact.
     """
-    a = np.array(m.a, dtype=np.int64)
+    p = m.p
+    a = np.array(m.a, dtype=np.int64, order="C")
     nrows, ncols = a.shape
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                pr = i
-                break
-        if pr is None:
+        below = np.flatnonzero(a[r:, c])
+        if below.size == 0:
             continue
+        pr = r + int(below[0])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * fp_inv(int(a[r, c]), m.p)) % m.p
-        for i in range(nrows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % m.p
+            a[[r, pr], c:] = a[[pr, r], c:]
+        a[r, c:] = a[r, c:] * fp_inv(int(a[r, c]), p) % p
+        rows = np.flatnonzero(a[:, c])
+        rows = rows[rows != r]
+        if rows.size:
+            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
-    return FpMatrix(m.p, a), len(pivots), tuple(pivots)
+    return FpMatrix._reduced(p, a), len(pivots), tuple(pivots)
 
 
 def rank(m: FpMatrix) -> int:
@@ -355,9 +360,8 @@ def solve(m: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
     if any(c >= m.cols for c in pivots):
         return None
     x = np.zeros((m.cols, b.cols), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc, :] = red.a[i, m.cols:]
-    return FpMatrix(m.p, x)
+    x[list(pivots)] = red.a[:len(pivots), m.cols:]
+    return FpMatrix._reduced(m.p, x)
 
 
 def right_inverse(m: FpMatrix) -> Optional[FpMatrix]:
@@ -388,15 +392,14 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
     Columns are ordered by free-column index, so the result is deterministic
     and directly usable as an inclusion matrix.
     """
-    red, _, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-int(red.a[i, fc])) % m.p
-    return FpMatrix(m.p, basis)
+    red, rk, pivots = rref(m)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[list(pivots)] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((m.cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[list(pivots)] = (-red.a[:rk, free]) % m.p
+    return FpMatrix._reduced(m.p, basis)
 
 
 def cokernel_basis(m: FpMatrix) -> FpMatrix:

@@ -191,12 +191,12 @@ def canonical_map_report(base: FpMatrix) -> GaloisReport:
             note=f"dimension obstruction: source dim {cols} != target dim {rows}",
         )
     red, _, pivots = rref(
-        FpMatrix(base.p, np.hstack([base.a, np.eye(rows, dtype=np.int64)]))
+        FpMatrix._reduced(base.p, np.hstack([base.a, np.eye(rows, dtype=np.int64)]))
     )
     r = sum(1 for c in pivots if c < cols)
     if r < rows:
         return GaloisReport(base, r, False, note=f"not Galois: rank {r}/{rows}")
-    return GaloisReport(base, rows, True, FpMatrix(base.p, red.a[:, cols:]))
+    return GaloisReport(base, rows, True, FpMatrix._reduced(base.p, red.a[:, cols:]))
 
 
 def galois_map_beta(a: BimonoidData, want_antipode: bool = True) -> GaloisReport:

@@ -13,6 +13,8 @@ import itertools
 
 import numpy as np
 
+from entwine.exactalg import FpMatrix, fp_inv
+
 
 def mul_elem(a, i: int, j: int) -> np.ndarray:
     """Coordinates of (basis_i . basis_j)."""
@@ -463,3 +465,33 @@ def oracle_lifted_action(ed, mod) -> np.ndarray:
                         col += int(ent[a1, c1]) * np.outer(hx, np.eye(dc, dtype=np.int64)[c1])
                 out[:, (xi * dc + ci) * da + ai] = (col % p).reshape(-1)
     return out
+
+
+def oracle_rref(m) -> tuple:
+    """Reduced row echelon form by the textbook row loop: ``(R, rank,
+    pivots)``.  Columns are scanned left to right and the first nonzero
+    entry at or below the current row becomes the pivot; every other row is
+    cleared with a whole-row update, one row at a time."""
+    a = np.array(m.a, dtype=np.int64)
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = None
+        for i in range(r, nrows):
+            if a[i, c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = (a[r] * fp_inv(int(a[r, c]), m.p)) % m.p
+        for i in range(nrows):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % m.p
+        pivots.append(c)
+        r += 1
+    return FpMatrix(m.p, a), len(pivots), tuple(pivots)

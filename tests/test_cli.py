@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from entwine import cli, duoidal, entwining, exactalg, hopfmod, structures
-from entwine.cli import main
+from entwine.cli import main, report_json
+from entwine.exactalg import FpMatrix
 from entwine.instances import (
     InstanceError,
     build_instance,
@@ -12,6 +14,7 @@ from entwine.instances import (
     load_instance,
     serialize_instance,
 )
+from entwine.report import Report
 
 from conftest import ALL_FIXTURES, BIMONOID_FIXTURES, chain_algebra, monoid_algebra
 
@@ -224,6 +227,59 @@ def test_json_report_structure(capsys):
     assert payload["command"] == "galois"
     assert any(c["name"].endswith("invertible (rank 9/9)") for c in payload["checks"])
     assert payload["data"]["antipode"]["rows"] == 3
+
+
+def reference_json(rep: Report) -> str:
+    """The report through json.dumps(indent=2) alone, entries as lists."""
+    payload = {
+        "command": rep.title,
+        "instance": rep.subject,
+        "conventions": rep.conventions,
+        "checks": [
+            {"name": c.name, "verdict": c.verdict, "counterexample": c.counterexample, "note": c.note}
+            for c in rep.checks
+        ],
+        "data": {
+            k: {"rows": v.rows, "cols": v.cols, "entries": [int(x) for x in v.a.flat]}
+            if isinstance(v, FpMatrix) else v
+            for k, v in rep.data.items()
+        },
+        "exit": rep.exit_status,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def edge_report() -> Report:
+    rep = Report("galois", subject="d\u00e9j\u00e0/vu.json")
+    rep.require_equal("m is associative", FpMatrix(5, [[1, 2]]), FpMatrix(5, [[1, 3]]))
+    rep.add_flag("entries 0:0", True, note='"entries": "entries 0:1"')
+    rep.data["description"] = "entries 0:0"
+    rep.data["labels"] = ["\u03b1", "g\u00b2", "entries 0:2"]
+    rep.data["empty rows"] = FpMatrix(3, np.zeros((0, 4), dtype=np.int64))
+    rep.data["empty cols"] = FpMatrix(3, np.zeros((4, 0), dtype=np.int64))
+    rep.data["one"] = FpMatrix(3, [[2]])
+    rep.data["wide"] = FpMatrix(7, np.arange(24).reshape(3, 8))
+    rep.data["rank"] = 3
+    return rep
+
+
+def test_spliced_json_matches_plain_dumps():
+    rep = edge_report()
+    assert report_json(rep) == reference_json(rep)
+
+
+def test_spliced_json_ignores_strings_equal_to_a_placeholder():
+    rep = edge_report()
+    # a data entry keyed "entries" spells the first placeholder of "wide",
+    # and sorts before it
+    rep.data["entries"] = "entries 0:3"
+    assert report_json(rep) == reference_json(rep)
+
+
+def test_spliced_json_of_a_report_without_matrices():
+    rep = Report("tau-split")
+    rep.add_flag("tau is a split monomorphism", False)
+    assert report_json(rep) == reference_json(rep)
 
 
 def test_human_report_antipode_labels(capsys):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import entwine
 from entwine.exactalg import (
@@ -26,6 +27,8 @@ from entwine.exactalg import (
     swap_matrix,
     zeros,
 )
+
+from oracles import oracle_rref
 
 
 def rand_matrix(rng, p, rows, cols):
@@ -91,6 +94,40 @@ def test_rref_idempotent_on_randoms():
             m = rand_matrix(rng, p, rng.integers(1, 6), rng.integers(1, 6))
             r, _, _ = rref(m)
             assert rref(r)[0] == r
+
+
+@st.composite
+def matrices_of_known_rank(draw) -> tuple:
+    """(M, k): M = L @ U with L = rows x k and U = k x cols random factors,
+    each carrying an identity block so that M has rank exactly k, then rows
+    and columns shuffled.  Shapes include 0 rows or 0 columns, wide and
+    tall, and k runs over every rank from 0 to full."""
+    p = draw(st.sampled_from((2, 3, 5, 2**31 - 1)))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    k = draw(st.integers(0, min(rows, cols)))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+
+    def factor(n, m):
+        flat = draw(st.lists(entry, min_size=n * m, max_size=n * m))
+        return np.array(flat, dtype=np.int64).reshape(n, m)
+
+    left = FpMatrix(p, np.vstack([np.eye(k, dtype=np.int64), factor(rows - k, k)]))
+    right = FpMatrix(p, np.hstack([np.eye(k, dtype=np.int64), factor(k, cols - k)]))
+    row_order = draw(st.permutations(range(rows)))
+    col_order = draw(st.permutations(range(cols)))
+    product = (left @ right).a[np.ix_(row_order, col_order)]
+    return FpMatrix(p, product.reshape(rows, cols)), k
+
+
+@given(matrices_of_known_rank())
+@example((zeros(5, 0, 4), 0))
+@example((zeros(5, 4, 0), 0))
+@example((zeros(2, 0, 0), 0))
+def test_rref_matches_row_loop_oracle(case):
+    m, k = case
+    got, want = rref(m), oracle_rref(m)
+    assert got[1] == want[1] == k
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ memoised axioms: the same rows, under the same names, as the
 preconditions of ``derive-entwining``.  Each command runs from the instance's
 directory on a relative path, so the instance name in the report does not
 depend on where the checkout lives.
+
+Every fixture has matrices of at most 16x16, so ``GOLDEN_LARGE`` adds
+``make-instance regular-comodule --p 5 --order 16``: its instance text, and
+``galois-generalized`` on it, a 256x256 canonical map and its inverse.
+Those digests were recorded with the engine as it was before the spliced
+JSON renderer and the array-level row elimination went in.
 """
 
 import contextlib
@@ -350,3 +356,22 @@ def test_broken_output_matches_golden_digest(tmp_path, variant, command):
 def test_golden_table_covers_fixtures_and_commands():
     names = ALL_FIXTURES + tuple(BROKEN)
     assert set(GOLDEN) == {(n, c) for n in names for c in CHECK_COMMANDS}
+
+
+LARGE = ("make-instance", "regular-comodule", "--p", "5", "--order", "16")
+LARGE_NAME = "regular_c16_f5"
+GOLDEN_LARGE = {
+    "make-instance": (0, "a0db92db928966bd0a0d5567d002160adc4f1baf7c55eb4165c311037909a1ea"),
+    "galois-generalized": (0, "02ae73bceb0810b54db6c2129ca5aace430e1f0877b781563fd1f19fa9260bde",
+        "c1e75d7181a342522d00d973f9357e1b6311b099cee65d631f2683dc3ec1c8bf"),
+}
+
+
+def test_large_instance_text_matches_golden_digest():
+    assert _digest(LARGE + ("--out", "-")) == GOLDEN_LARGE["make-instance"]
+
+
+def test_large_canonical_map_matches_golden_digest(tmp_path):
+    assert main(list(LARGE + ("--out", str(tmp_path / (LARGE_NAME + ".json"))))) == 0
+    got = outputs(str(tmp_path), LARGE_NAME, "galois-generalized")
+    assert got == GOLDEN_LARGE["galois-generalized"]
