@@ -12,13 +12,11 @@ output.
 from __future__ import annotations
 
 import argparse
-import itertools
-import json
 import sys
 from typing import Optional
 
 from .exactalg import FpMatrix
-from .report import PreconditionError, Report, UnsupportedError
+from .report import PreconditionError, Report, UnsupportedError, render_json
 from . import structures
 from .duoidal import braided_duoidal, check_duoidal, galois_map_Kprime, tau_splitting
 from .entwining import check_entwining, entwining_from_bimonoid
@@ -86,6 +84,15 @@ def _need(items: list, what: str) -> list:
     return items
 
 
+def _one(items: list, what: str, command: str) -> tuple:
+    """The single ``what`` role: a command whose report rows and data keys
+    carry no role name cannot tell two roles apart."""
+    if len(_need(items, what)) > 1:
+        names = ", ".join(name for name, _ in items)
+        raise InstanceError(f"{command} needs one {what} role, found {names}")
+    return items[0]
+
+
 def _galois_checks(rep: Report, prefix: str, g: GaloisReport) -> None:
     rows, cols = g.base_map.shape
     if rows == cols:
@@ -149,29 +156,18 @@ def _run_command(command: str, inst: Optional[InstanceFile], rep: Report, sample
                 rep.data[f"{name}: lambda0"] = ed.lambda0
                 rep.merge(check_entwining(ed), prefix=f"{name}: entwining ")
     elif command == "galois":
-        for name, a in _need(inst.roles_of("bimonoid"), "bimonoid"):
-            pre = a.axioms
-            rep.merge(pre, prefix=f"{name}: ")
-            if not pre.ok:
-                continue
-            g = galois_map_beta(a)
-            _galois_checks(rep, "beta ", g)
+        name, a = _one(inst.roles_of("bimonoid"), "bimonoid", command)
+        rep.merge(a.axioms, prefix=f"{name}: ")
+        if a.axioms.ok:
+            _galois_checks(rep, "beta ", galois_map_beta(a))
             rep.data["labels"] = inst.labels_for(inst.roles[name]["object"])
     elif command == "galois-generalized":
-        combs = _need(inst.roles_of("comodule-algebra"), "comodule-algebra")
-        comos = _need(inst.roles_of("comonoid"), "comonoid")
-        if len(comos) > 1:
-            names = ", ".join(name for name, _ in comos)
-            raise InstanceError(f"galois-generalized needs one comonoid role, found {names}")
-        (_, c), = comos
-        for name, b in combs:
-            g = galois_map_generalized(b, c)
-            _galois_checks(rep, "can ", g)
+        _, b = _one(inst.roles_of("comodule-algebra"), "comodule-algebra", command)
+        _, c = _one(inst.roles_of("comonoid"), "comonoid", command)
+        _galois_checks(rep, "can ", galois_map_generalized(b, c))
     elif command == "galois-dual":
-        ctx = braided_duoidal(inst.field_p)
-        for name, a in _need(inst.roles_of("bimonoid"), "bimonoid"):
-            g = galois_map_Kprime(a, ctx)
-            _galois_checks(rep, "beta' ", g)
+        _, a = _one(inst.roles_of("bimonoid"), "bimonoid", command)
+        _galois_checks(rep, "beta' ", galois_map_Kprime(a, braided_duoidal(inst.field_p)))
     elif command == "fundamental-theorem":
         extras = [m for _, m in inst.roles_of("hopf-module")]
         for name, a in _need(inst.roles_of("bimonoid"), "bimonoid"):
@@ -200,57 +196,20 @@ def _run_command(command: str, inst: Optional[InstanceFile], rep: Report, sample
 # ---------------------------------------------------------------------------
 
 def report_json(rep: Report) -> str:
-    """The report as ``json.dumps(..., sort_keys=True, indent=2,
-    ensure_ascii=True)`` would print it, at C speed.
-
-    json.dumps with an indent runs the pure-Python encoder, one call per
-    entry.  So the skeleton is dumped with each matrix's ``entries`` list
-    replaced by a placeholder string, and each placeholder is then spliced
-    out for its list, one entry per line, indented one level below the
-    placeholder's own line.  The placeholders carry a salt, raised until
-    each occurs exactly once in the skeleton, so no other string of the
-    report is ever taken for one.
-    """
-    matrices = {k: v for k, v in rep.data.items() if isinstance(v, FpMatrix)}
-    slots = {k: {"rows": v.rows, "cols": v.cols} for k, v in matrices.items()}
-    payload = {
-        "command": rep.title,
-        "instance": rep.subject,
-        "conventions": rep.conventions,
-        "checks": [
-            {
-                "name": c.name,
-                "verdict": c.verdict,
-                "counterexample": c.counterexample,
-                "note": c.note,
-            }
-            for c in rep.checks
-        ],
-        "data": {k: slots.get(k, v) for k, v in rep.data.items()},
-        "exit": rep.exit_status,
-    }
-    for salt in itertools.count():
-        for i, slot in enumerate(slots.values()):
-            slot["entries"] = f"entries {salt}:{i}"
-        text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
-        marks = [f'"entries": "{slot["entries"]}"' for slot in slots.values()]
-        if all(text.count(mark) == 1 for mark in marks):
-            break
-    found = sorted((text.index(mark), mark, m) for mark, m in zip(marks, matrices.values()))
-    pieces, done = [], 0
-    for at, mark, m in found:
-        pad = text[text.rindex("\n", 0, at) + 1:at]
-        pieces.append(text[done:at + len('"entries": ')])
-        if m.a.size:
-            # the repr of a list of ints is its entries joined by ", "
-            inner = pad + "  "
-            flat = str(m.a.reshape(-1).tolist())[1:-1].replace(", ", ",\n" + inner)
-            pieces.append("[\n" + inner + flat + "\n" + pad + "]")
-        else:
-            pieces.append("[]")
-        done = at + len(mark)
-    pieces.append(text[done:])
-    return "".join(pieces)
+    """The deterministic ``--json`` form of a report."""
+    return render_json(
+        {
+            "command": rep.title,
+            "instance": rep.subject,
+            "conventions": rep.conventions,
+            "checks": [
+                {"name": c.name, "verdict": c.verdict, "counterexample": c.counterexample, "note": c.note}
+                for c in rep.checks
+            ],
+            "data": rep.data,
+            "exit": rep.exit_status,
+        }
+    )
 
 
 def _antipode_table(s: FpMatrix, labels) -> str:
@@ -364,6 +323,8 @@ def _run(args: argparse.Namespace) -> int:
 
     try:
         samples = tuple(int(x) for x in str(args.samples).split(",") if x != "")
+        if any(d < 0 for d in samples):
+            raise ValueError
     except ValueError:
         return _fail(f"invalid --samples: {args.samples!r}")
     try:

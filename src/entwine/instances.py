@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .exactalg import FpMatrix, ShapeError, is_prime
+from .report import render_json
 from .structures import (
     BimonoidData,
     ComonoidData,
@@ -285,17 +286,15 @@ def load_instance(path: str) -> InstanceFile:
 
 def serialize_instance(inst: InstanceFile) -> str:
     """Canonical text form; loading it back yields an identical instance."""
-    payload = {
-        "field_p": inst.field_p,
-        "meta": inst.meta,
-        "objects": inst.objects,
-        "maps": {
-            name: {"rows": m.rows, "cols": m.cols, "entries": m.entries_rowmajor()}
-            for name, m in sorted(inst.maps.items())
-        },
-        "roles": {k: v for k, v in sorted(inst.roles.items())},
-    }
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return render_json(
+        {
+            "field_p": inst.field_p,
+            "meta": inst.meta,
+            "objects": inst.objects,
+            "maps": inst.maps,
+            "roles": inst.roles,
+        }
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ leg orderings are never ambiguous when comparing constructions.
 
 from __future__ import annotations
 
+import itertools
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,3 +112,54 @@ class Report:
 
     def failed_names(self) -> list:
         return [c.name for c in self.checks if not c.passed]
+
+
+def _skeleton(v, matrices: list):
+    """v with each FpMatrix replaced by a slot dict, appended to matrices with
+    its matrix.  (A module function: a recursive closure would be a
+    reference cycle, keeping the matrices alive until the next collection.)"""
+    if isinstance(v, FpMatrix):
+        matrices.append((v, {"rows": v.rows, "cols": v.cols}))
+        return matrices[-1][1]
+    if isinstance(v, dict):
+        return {k: _skeleton(x, matrices) for k, x in v.items()}
+    return v
+
+
+def render_json(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)``
+    and a newline, at C speed, with each FpMatrix value of the payload's
+    (nested) dicts written as ``{"cols": ..., "entries": [...], "rows": ...}``.
+
+    json.dumps with an indent runs the pure-Python encoder, one call per
+    entry.  So the skeleton is dumped with each matrix's ``entries`` list
+    replaced by a placeholder string, and each placeholder is then spliced
+    out for its list, one entry per line, indented one level below the
+    placeholder's own line.  The placeholders carry a salt, raised until
+    each occurs exactly once in the skeleton, so no other string of the
+    payload is ever taken for one.
+    """
+    matrices = []
+    shape = _skeleton(payload, matrices)
+    for salt in itertools.count():
+        for i, (_, slot) in enumerate(matrices):
+            slot["entries"] = f"entries {salt}:{i}"
+        text = json.dumps(shape, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+        marks = [f'"entries": "{slot["entries"]}"' for _, slot in matrices]
+        if all(text.count(mark) == 1 for mark in marks):
+            break
+    found = sorted((text.index(mark), mark, m) for mark, (m, _) in zip(marks, matrices))
+    pieces, done = [], 0
+    for at, mark, m in found:
+        pad = text[text.rindex("\n", 0, at) + 1:at]
+        pieces.append(text[done:at + len('"entries": ')])
+        if m.a.size:
+            # the repr of a list of ints is its entries joined by ", "
+            inner = pad + "  "
+            flat = str(m.a.reshape(-1).tolist())[1:-1].replace(", ", ",\n" + inner)
+            pieces += ("[\n", inner, flat, "\n", pad, "]")
+        else:
+            pieces.append("[]")
+        done = at + len(mark)
+    pieces.append(text[done:])
+    return "".join(pieces)

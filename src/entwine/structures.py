@@ -41,7 +41,6 @@ __all__ = [
     "check_comodule_algebra",
     "check_module_comonoid",
     "module_comonoid_of_coalgebra",
-    "opmonoidal_omega",
     "free_left_module",
     "regular_right_module",
     "tensor_over_A",
@@ -264,30 +263,36 @@ def _middle_transposition(x: FpMatrix, dw: int, dx: int, dy: int, dz: int) -> Fp
 _LAW_ONE_CELLS = 1 << 20
 
 
-def _law_one_rhs(a: BimonoidData, zeta) -> FpMatrix:
-    """(m(x)m).zeta.(delta(x)delta), over column blocks of the first delta:
-    columns i of the first delta give the result's columns (i, j), a
-    contiguous range.  A block of b columns holds d^5 * b entries, and b is
-    the most that _LAW_ONE_CELLS allows, one at least."""
-    d = a.dim
-    step = max(1, _LAW_ONE_CELLS // max(d**5, 1))
+def _law_one_rhs(rho: FpMatrix, m_a: FpMatrix, m_b: FpMatrix, zeta) -> FpMatrix:
+    """(m_A(x)m_B).zeta.(rho(x)rho) for a coaction rho: B -> A(x)B, over
+    column blocks of the first rho: columns i of the first rho give the
+    result's columns (i, j), a contiguous range.  A block of b columns holds
+    da^2 * db^3 * b entries, and b is the most that _LAW_ONE_CELLS allows,
+    one at least.  A bimonoid is its own regular comodule algebra (rho =
+    delta, m_A = m_B = m), so its blocks hold d^5 * b entries."""
+    p, da, db = rho.p, m_a.rows, m_b.rows
+    step = max(1, _LAW_ONE_CELLS // max(da**2 * db**3, 1))
 
-    # a function, so that a block's d^5 * b arrays are freed before the next
+    # a function, so that a block's arrays are freed before the next
     def block(first: FpMatrix) -> np.ndarray:
-        a1_b1_a2_b2 = zeta(kron(first, a.delta), d, d, d, d)
-        return apply_leg(a.m, apply_leg(a.m, a1_b1_a2_b2, (d * d, d * d), 0), (d, d * d), 1).a
+        a1_a2_b1_b2 = zeta(kron(first, rho), da, db, da, db)
+        return apply_leg(m_b, apply_leg(m_a, a1_a2_b1_b2, (da * da, db * db), 0), (da, db * db), 1).a
 
-    out = np.empty((d * d, d * d), dtype=np.int64)
-    for i in range(0, d, step):
-        out[:, i * d:(i + step) * d] = block(FpMatrix._reduced(a.p, a.delta.a[:, i:i + step]))
-    return FpMatrix._reduced(a.p, out)
+    out = np.empty((da * db, db * db), dtype=np.int64)
+    for i in range(0, db, step):
+        out[:, i * db:(i + step) * db] = block(FpMatrix._reduced(p, rho.a[:, i:i + step]))
+    return FpMatrix._reduced(p, out)
 
 
 def _bimonoid_diagrams(r: Report, a: BimonoidData, zeta, mu, Delta, tau) -> None:
     """Add bimonoid diagrams (I)-(IV) of ``a`` to r, through the interchange
     action zeta (as in a duoidal context) and the unit maps mu: J o J -> J,
     Delta: I -> I * I and tau: I -> J, both units one-dimensional."""
-    r.require_equal("comultiplication is multiplicative (I)", a.delta @ a.m, _law_one_rhs(a, zeta))
+    r.require_equal(
+        "comultiplication is multiplicative (I)",
+        a.delta @ a.m,
+        _law_one_rhs(a.delta, a.m, a.m, zeta),
+    )
     r.require_equal("counit is multiplicative (II)", a.eps @ a.m, mu @ kron(a.eps, a.eps))
     r.require_equal("unit is group-like (III)", a.delta @ a.e, kron(a.e, a.e) @ Delta)
     r.require_equal("counit of unit (IV)", a.eps @ a.e, tau)
@@ -360,15 +365,12 @@ def check_comodule_algebra(b: ComoduleAlgebraData) -> Report:
     """The four comodule-algebra invariants: left A-comodule plus rho being a
     map of algebras.  Assumes the base bimonoid has already been verified."""
     r = Report("comodule algebra axioms")
-    a = b.over
-    alg = b.algebra
-    da, db = a.dim, alg.dim
-    r.merge(check_left_comodule(db, b.rho, a.comonoid))
-    a1_a2_b1_b2 = _middle_transposition(kron(b.rho, b.rho), da, db, da, db)
+    a, alg = b.over, b.algebra
+    r.merge(check_left_comodule(alg.dim, b.rho, a.comonoid))
     r.require_equal(
         "coaction is multiplicative",
         b.rho @ alg.m,
-        apply_leg(alg.m, apply_leg(a.m, a1_a2_b1_b2, (da * da, db * db), 0), (da, db * db), 1),
+        _law_one_rhs(b.rho, a.m, alg.m, _middle_transposition),
     )
     r.require_equal("coaction preserves the unit", b.rho @ alg.e, kron(a.e, alg.e))
     return r
@@ -377,14 +379,6 @@ def check_comodule_algebra(b: ComoduleAlgebraData) -> Report:
 # ---------------------------------------------------------------------------
 # opmonoidal structure of the left monad A(x)- and its module-comonoids
 # ---------------------------------------------------------------------------
-
-def opmonoidal_omega(a: BimonoidData, dx: int, dy: int) -> FpMatrix:
-    """Colax structure of A(x)- on a pair of objects:
-    A(x)X(x)Y -> (A(x)X)(x)(A(x)Y), a(x)x(x)y |-> a1(x)x(x)a2(x)y."""
-    da = a.dim
-    base = kron(a.delta, identity(a.p, dx * dy))
-    return _middle_transposition(base, da, da, dx, dy)
-
 
 def module_comonoid_of_coalgebra(a: BimonoidData, c: ComonoidData) -> ModuleComonoidData:
     """Free module-comonoid on a coalgebra: carrier A(x)C, action by
@@ -398,40 +392,31 @@ def module_comonoid_of_coalgebra(a: BimonoidData, c: ComonoidData) -> ModuleComo
     require("comonoid", c.axioms)
     if a.p != c.p:
         raise ShapeError("modulus mismatch between bimonoid and comonoid")
-    p, da, dc = a.p, a.dim, c.dim
-    dz = da * dc
-    sigma = kron(a.m, identity(p, dc))
-    delta_z = opmonoidal_omega(a, dc, dc) @ kron(identity(p, da), c.delta)
-    eps_z = a.eps @ kron(identity(p, da), c.eps)
-    return ModuleComonoidData(dz, sigma, delta_z, eps_z)
+    da, dc = a.dim, c.dim
+    sigma = kron(a.m, identity(a.p, dc))
+    # the colax structure a(x)x(x)y |-> a1(x)x(x)a2(x)y after I(x)delta_C is
+    # delta_A(x)delta_C followed by the middle transposition
+    delta_z = _middle_transposition(kron(a.delta, c.delta), da, da, dc, dc)
+    return ModuleComonoidData(da * dc, sigma, delta_z, kron(a.eps, c.eps))
 
 
 def check_module_comonoid(z: ModuleComonoidData, a: BimonoidData) -> Report:
     """Module axioms for sigma, comonoid axioms for (deltaZ, epsZ), and the
     two module-morphism compatibilities of the comonoid maps."""
     r = Report("module comonoid axioms")
-    p, da, dz = a.p, a.dim, z.dim
+    da, dz = a.dim, z.dim
     if z.monad_dim != da:
         raise ShapeError(f"sigma acts for a monad of dim {z.monad_dim}, bimonoid has dim {da}")
-    ia, iz = identity(p, da), identity(p, dz)
-    r.require_equal(
-        "action associativity",
-        z.sigma @ kron(ia, z.sigma),
-        z.sigma @ kron(a.m, iz),
-    )
-    r.require_equal("action unit", z.sigma @ kron(a.e, iz), iz)
+    r.merge(check_module(ModuleData(dz, z.sigma, "left"), a.monoid))
     r.merge(check_comonoid(z.comonoid), prefix="comonoid ")
-    sigma_zz = kron(z.sigma, z.sigma) @ opmonoidal_omega(a, dz, dz)
+    # (sigma(x)sigma).colax.(I(x)deltaZ), sigma applied one A(x)Z leg at a time
+    az_az = _middle_transposition(kron(a.delta, z.deltaZ), da, da, dz, dz)
     r.require_equal(
         "comultiplication is a module morphism",
         z.deltaZ @ z.sigma,
-        sigma_zz @ kron(ia, z.deltaZ),
+        apply_leg(z.sigma, apply_leg(z.sigma, az_az, (da * dz, da * dz), 0), (dz, da * dz), 1),
     )
-    r.require_equal(
-        "counit is a module morphism",
-        z.epsZ @ z.sigma,
-        a.eps @ kron(ia, z.epsZ),
-    )
+    r.require_equal("counit is a module morphism", z.epsZ @ z.sigma, kron(a.eps, z.epsZ))
     return r
 
 

@@ -73,6 +73,14 @@ def bimonoid_from_constants(p, d, m, e, delta, eps) -> BimonoidData:
     )
 
 
+def draw_entries(draw, p, rows, cols) -> np.ndarray:
+    if draw(st.booleans()):  # one basis vector per column, as in a monoid algebra
+        hot = draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols))
+        return np.eye(rows, dtype=np.int64)[:, hot]
+    flat = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
 @st.composite
 def random_structure_constants(draw) -> BimonoidData:
     # BimonoidData checks shapes only, so any constants make a checker input
@@ -80,11 +88,7 @@ def random_structure_constants(draw) -> BimonoidData:
     d = draw(st.integers(1, 4))
 
     def entries(rows, cols):
-        if draw(st.booleans()):  # one basis vector per column, as in a monoid algebra
-            hot = draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols))
-            return np.eye(rows, dtype=np.int64)[:, hot]
-        flat = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
-        return np.array(flat, dtype=np.int64).reshape(rows, cols)
+        return draw_entries(draw, p, rows, cols)
 
     return bimonoid_from_constants(p, d, entries(d, d * d), entries(d, 1), entries(d * d, d), entries(1, d))
 

@@ -177,6 +177,46 @@ def oracle_bialgebra(a) -> dict:
     }
 
 
+def oracle_comodule_algebra(b) -> dict:
+    """Left comodule and algebra-map axioms of rho: B -> A(x)B, with each
+    rho(b_i) read as an element of A(x)B, a (dim A, dim B) coordinate array,
+    and A(x)B multiplied factorwise: (a(x)x)(a'(x)x') = aa' (x) xx'."""
+    a, alg, p = b.over, b.algebra, b.algebra.p
+    da, db = a.dim, alg.dim
+    ea, eb = np.eye(da, dtype=np.int64), np.eye(db, dtype=np.int64)
+
+    def rho_vec(u) -> np.ndarray:
+        cols = b.rho.a.T.reshape(db, da, db)
+        return sum((int(u[k]) * cols[k] for k in range(db)), np.zeros((da, db), dtype=np.int64)) % p
+
+    def tensor_mul(s, t) -> np.ndarray:
+        out = np.zeros((da, db), dtype=np.int64)
+        for (u1, u2), (v1, v2) in itertools.product(zip(*np.nonzero(s)), zip(*np.nonzero(t))):
+            coeff = int(s[u1, u2]) * int(t[v1, v2])
+            out += coeff * np.outer(mul_vec(a.monoid, ea[u1], ea[v1]), mul_vec(alg, eb[u2], eb[v2]))
+        return out % p
+
+    coassoc = counit = mult = True
+    for i in range(db):
+        t = rho_vec(eb[i])
+        lhs = np.zeros((da, da, db), dtype=np.int64)
+        rhs = np.zeros((da, da, db), dtype=np.int64)
+        for j, k in zip(*np.nonzero(t)):
+            lhs += int(t[j, k]) * comul_elem(a.comonoid, j)[:, :, None] * eb[k]
+            rhs[j] += int(t[j, k]) * rho_vec(eb[k])
+        coassoc &= np.array_equal(lhs % p, rhs % p)
+        counit &= np.array_equal(sum(counit_elem(a.comonoid, j) * t[j] for j in range(da)) % p, eb[i])
+        for j in range(db):
+            mult &= np.array_equal(rho_vec(mul_vec(alg, eb[i], eb[j])), tensor_mul(t, rho_vec(eb[j])))
+    unit = np.array_equal(rho_vec(unit_elem(alg) % p), np.outer(unit_elem(a.monoid), unit_elem(alg)) % p)
+    return {
+        "coaction coassociativity": coassoc,
+        "coaction counit": counit,
+        "coaction is multiplicative": mult,
+        "coaction preserves the unit": unit,
+    }
+
+
 def entwine_pairs(ed) -> np.ndarray:
     """lambda0 on basis pairs as W[in1, in2, out1, out2].
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -145,6 +147,35 @@ def test_generalized_rejects_two_comonoid_roles(tmp_path, capsys):
     assert "one comonoid role" in err and f"{name}, C2" in err
 
 
+@pytest.mark.parametrize(
+    "command, name, kind",
+    (
+        ("galois", "kz2_f3", "bimonoid"),
+        ("galois-dual", "kz2_f3", "bimonoid"),
+        ("galois-generalized", "regular_comodule_f3", "comodule-algebra"),
+    ),
+)
+def test_galois_commands_reject_two_roles(tmp_path, capsys, command, name, kind):
+    # their rows and data keys carry no role name, so a second role would
+    # overwrite the first one's
+    raw = json.loads(serialize_instance(load_instance(fixture_path(name))))
+    (first, role), = ((k, v) for k, v in raw["roles"].items() if v["kind"] == kind)
+    raw["roles"]["Z2"] = dict(role)
+    path = tmp_path / "two_roles.json"
+    path.write_text(json.dumps(raw))
+    for argv in ((), ("--json",)):
+        code, out, err = run(capsys, command, str(path), *argv)
+        assert code == 2 and out == ""
+        assert err == f"entwine: error: {command} needs one {kind} role, found {first}, Z2\n"
+
+
+@pytest.mark.parametrize("samples", ("-1", "1,-2"))
+def test_negative_samples_are_a_usage_error(capsys, samples):
+    code, out, err = run(capsys, "fundamental-theorem", fixture_path("kz2_f3"), "--samples", samples)
+    assert code == 2 and out == ""
+    assert err == f"entwine: error: invalid --samples: {samples!r}\n"
+
+
 def test_out_of_memory_exits_two(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -280,6 +311,20 @@ def test_spliced_json_of_a_report_without_matrices():
     rep = Report("tau-split")
     rep.add_flag("tau is a split monomorphism", False)
     assert report_json(rep) == reference_json(rep)
+
+
+def test_spliced_json_keeps_no_matrix_alive():
+    # a reference cycle in the renderer would hold every rendered matrix
+    # until the next collection, raising the peak memory of a run of reports
+    rep = edge_report()
+    wide = weakref.ref(rep.data["wide"].a)
+    gc.disable()
+    try:
+        report_json(rep)
+        del rep
+        assert wide() is None
+    finally:
+        gc.enable()
 
 
 def test_human_report_antipode_labels(capsys):

@@ -13,6 +13,7 @@ from entwine.structures import (
     BimonoidData,
     ComonoidData,
     ComoduleAlgebraData,
+    ModuleComonoidData,
     ModuleData,
     MonoidData,
     check_bialgebra,
@@ -28,12 +29,14 @@ from entwine.structures import (
 
 from conftest import (
     BIMONOID_FIXTURES,
+    bimonoid_from_constants,
     corpus_bimonoid,
     corpus_instance,
+    draw_entries,
     mutated_fixtures,
     random_structure_constants,
 )
-from oracles import oracle_bialgebra, oracle_comonoid, oracle_monoid
+from oracles import oracle_bialgebra, oracle_comodule_algebra, oracle_comonoid, oracle_monoid
 
 
 def flip_entry(mat: FpMatrix, i: int, j: int, value: int) -> FpMatrix:
@@ -155,18 +158,25 @@ def test_law_one_blocks_give_the_single_block_report(monkeypatch, cells):
 def test_law_one_blocks_do_not_outlive_their_turn(monkeypatch):
     # one column per block: a block holds two d^5 arrays at once (the kron
     # and its gather, or the gather and its float64 copy); a third would mean
-    # the previous block is still alive while the next is built
+    # the previous block is still alive while the next is built.  The
+    # regular comodule algebra runs the same law through its own checker.
     (_, a), = build_instance("group-algebra", 5, 12).roles_of("bimonoid")
+    (_, b), = build_instance("regular-comodule", 5, 12).roles_of("comodule-algebra")
     block_bytes = 8 * a.dim**5
     monkeypatch.setattr(structures, "_LAW_ONE_CELLS", 1)
-    tracemalloc.start()
-    try:
-        rhs = structures._law_one_rhs(a, structures._middle_transposition)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rhs == a.delta @ a.m
-    assert peak < 2.5 * block_bytes, (peak, block_bytes)
+    for law_one_holds in (
+        lambda: structures._law_one_rhs(a.delta, a.m, a.m, structures._middle_transposition)
+        == a.delta @ a.m,
+        lambda: check_comodule_algebra(b).ok,
+    ):
+        tracemalloc.start()
+        try:
+            holds = law_one_holds()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert holds
+        assert peak < 2.5 * block_bytes, (peak, block_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +201,50 @@ def test_zero_coaction_fails_counit():
     rep = check_comodule_algebra(b)
     assert not rep.ok
     assert verdicts(rep)["coaction counit"] is False
+
+
+@st.composite
+def random_comodule_algebras(draw) -> ComoduleAlgebraData:
+    # ComoduleAlgebraData checks shapes only, so any constants make an input
+    a = draw(random_structure_constants())
+    p, da, db = a.p, a.dim, draw(st.integers(1, 4))
+    algebra = MonoidData(db, FpMatrix(p, draw_entries(draw, p, db, db * db)), FpMatrix(p, draw_entries(draw, p, db, 1)))
+    return ComoduleAlgebraData(algebra, a, FpMatrix(p, draw_entries(draw, p, da * db, db)))
+
+
+@st.composite
+def mutated_comodule_fixtures(draw) -> ComoduleAlgebraData:
+    (_, b), = corpus_instance(draw(st.sampled_from(("regular_comodule_f3", "trivial_coaction_f3")))).roles_of(
+        "comodule-algebra"
+    )
+    a = b.over
+    maps = {"m": a.m, "e": a.e, "delta": a.delta, "eps": a.eps, "mB": b.algebra.m, "eB": b.algebra.e, "rho": b.rho}
+    maps = {k: np.array(v.a) for k, v in maps.items()}
+    changed = maps[draw(st.sampled_from(sorted(maps)))]
+    k = draw(st.integers(0, changed.size - 1))
+    changed.flat[k] = (changed.flat[k] + draw(st.integers(1, a.p - 1))) % a.p
+    over = bimonoid_from_constants(a.p, a.dim, maps["m"], maps["e"], maps["delta"], maps["eps"])
+    algebra = MonoidData(b.algebra.dim, FpMatrix(a.p, maps["mB"]), FpMatrix(a.p, maps["eB"]))
+    return ComoduleAlgebraData(algebra, over, FpMatrix(a.p, maps["rho"]))
+
+
+def _assert_comodule_algebra_matches_oracle(b: ComoduleAlgebraData, data) -> None:
+    # blocks of 1..dim B columns of the first rho: up to four blocks
+    da, db = b.over.dim, b.algebra.dim
+    cells = data.draw(st.integers(1, db)) * da**2 * db**3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structures, "_LAW_ONE_CELLS", cells)
+        assert verdicts(check_comodule_algebra(b)) == oracle_comodule_algebra(b)
+
+
+@given(random_comodule_algebras(), st.data())
+def test_comodule_algebra_matches_oracle_on_random_structure_constants(b, data):
+    _assert_comodule_algebra_matches_oracle(b, data)
+
+
+@given(mutated_comodule_fixtures(), st.data())
+def test_comodule_algebra_matches_oracle_on_mutated_fixtures(b, data):
+    _assert_comodule_algebra_matches_oracle(b, data)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +281,24 @@ def test_module_comonoid_self_consistent_on_corpus(name):
     for c in (trivial_comonoid(a.p), a.comonoid):
         z = module_comonoid_of_coalgebra(a, c)
         assert check_module_comonoid(z, a).ok
+
+
+def test_module_comonoid_mutated_action_counterexamples_are_pinned():
+    # recorded before the module axioms were merged from check_module and the
+    # colax map was applied leg by leg: both routes print the same report
+    a = corpus_bimonoid("sweedler_f5")
+    z = module_comonoid_of_coalgebra(a, a.comonoid)
+    bad = ModuleComonoidData(z.dim, flip_entry(z.sigma, 1, 5, (z.sigma.entry(1, 5) + 1) % 5), z.deltaZ, z.epsZ)
+    got = [(c.name, c.counterexample) for c in check_module_comonoid(bad, a).checks]
+    assert got == [
+        ("action associativity", {"row": 1, "col": 5, "lhs": 2, "rhs": 1}),
+        ("action unit", {"row": 1, "col": 5, "lhs": 1, "rhs": 0}),
+        ("comonoid coassociativity", None),
+        ("comonoid left counit", None),
+        ("comonoid right counit", None),
+        ("comultiplication is a module morphism", {"row": 21, "col": 5, "lhs": 0, "rhs": 1}),
+        ("counit is a module morphism", {"row": 0, "col": 5, "lhs": 2, "rhs": 1}),
+    ]
 
 
 def test_module_comonoid_precondition():
