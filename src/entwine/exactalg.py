@@ -241,10 +241,11 @@ def kron(m: FpMatrix, n: FpMatrix) -> FpMatrix:
     """Kronecker product, realizing the tensor product on morphisms.
 
     Entry at ``(i*n.rows + k, j*n.cols + l)`` is ``m[i,j] * n[k,l]`` (row-major
-    block convention, bit-exact contract).
+    block convention, bit-exact contract), computed as one broadcast product:
+    entries are below p < 2^31, so each int64 product stays below 2^62.
     """
     m._match(n)
-    out = np.kron(m.a, n.a)
+    out = (m.a[:, None, :, None] * n.a[None, :, None, :]).reshape(m.rows * n.rows, m.cols * n.cols)
     np.remainder(out, m.p, out=out)
     return FpMatrix._reduced(m.p, out)
 

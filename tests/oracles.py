@@ -10,10 +10,12 @@ criterion, so these oracles never call the checkers they validate.
 from __future__ import annotations
 
 import itertools
+from math import prod
 
 import numpy as np
 
 from entwine.exactalg import FpMatrix, fp_inv
+from entwine.report import Report
 
 
 def mul_elem(a, i: int, j: int) -> np.ndarray:
@@ -535,3 +537,116 @@ def oracle_rref(m) -> tuple:
         pivots.append(c)
         r += 1
     return FpMatrix(m.p, a), len(pivots), tuple(pivots)
+
+
+def oracle_duoidal(ctx, probe_dims=(1, 2)):
+    """The duoidal coherence report by the probe-map loop: naturality of
+    zeta is tested against every elementary map on each slot, by composing
+    with identity-padded Kronecker towers on both sides; the nestings and
+    unit squares read zeta afresh at every use.  Kronecker products and
+    identities come from numpy, not from the package."""
+
+    def kron(m, n):
+        return FpMatrix(m.p, np.kron(m.a, n.a))
+
+    def identity(p, d):
+        return FpMatrix(p, np.eye(d, dtype=np.int64))
+
+    r = Report("duoidal context", subject=ctx.tag)
+    p, di, dj = ctx.p, ctx.dim_i, ctx.dim_j
+    ii, ij = identity(p, di), identity(p, dj)
+
+    r.require_equal(
+        "(J, mu, tau) associativity", ctx.mu @ kron(ctx.mu, ij), ctx.mu @ kron(ij, ctx.mu)
+    )
+    r.require_equal("(J, mu, tau) left unit", ctx.mu @ kron(ctx.tau, ij), ij)
+    r.require_equal("(J, mu, tau) right unit", ctx.mu @ kron(ij, ctx.tau), ij)
+    r.require_equal(
+        "(I, Delta, tau) coassociativity",
+        kron(ctx.Delta, ii) @ ctx.Delta,
+        kron(ii, ctx.Delta) @ ctx.Delta,
+    )
+    r.require_equal("(I, Delta, tau) left counit", kron(ctx.tau, ii) @ ctx.Delta, ii)
+    r.require_equal("(I, Delta, tau) right counit", kron(ii, ctx.tau) @ ctx.Delta, ii)
+
+    def component(*legs):
+        """zeta at probe dimensions, read off its action on the identity."""
+        return ctx.zeta(identity(p, prod(legs)), *legs)
+
+    def elementary_maps(d):
+        for r_, c in itertools.product(range(d), repeat=2):
+            m = np.zeros((d, d), dtype=np.int64)
+            m[r_, c] = 1
+            yield FpMatrix(p, m)
+
+    dims = tuple(probe_dims)
+    nat_ok = True
+    nat_note = ""
+    for dw, dx, dy, dz in itertools.product(dims, repeat=4):
+        slot_dims = (dw, dx, dy, dz)
+        z = component(*slot_dims)
+        for slot in range(4):
+            for f in elementary_maps(slot_dims[slot]):
+                legs_in = [identity(p, d) for d in slot_dims]
+                legs_in[slot] = f
+                src = kron(kron(legs_in[0], legs_in[1]), kron(legs_in[2], legs_in[3]))
+                tgt = kron(kron(legs_in[0], legs_in[2]), kron(legs_in[1], legs_in[3]))
+                if not (z @ src == tgt @ z):
+                    nat_ok = False
+                    nat_note = f"dims {slot_dims}, slot {slot}"
+                    break
+            if not nat_ok:
+                break
+        if not nat_ok:
+            break
+    r.add_flag("interchange naturality on probe maps", nat_ok, note=nat_note)
+
+    assoc_ok = True
+    assoc_note = ""
+    for du, dv, dw, dx, dy, dz in itertools.product(dims, repeat=6):
+        # nesting across the first product: ((U*V)o(W*X))o(Y*Z)
+        route1 = ctx.zeta(
+            kron(component(du, dv, dw, dx), identity(p, dy * dz)), du * dw, dv * dx, dy, dz
+        )
+        route2 = ctx.zeta(
+            kron(identity(p, du * dv), component(dw, dx, dy, dz)), du, dv, dw * dy, dx * dz
+        )
+        if not route1 == route2:
+            assoc_ok = False
+            assoc_note = f"first-product nesting at dims {(du, dv, dw, dx, dy, dz)}"
+            break
+        # nesting across the second product: (U*V*W)o(X*Y*Z)
+        route3 = kron(identity(p, du * dx), component(dv, dw, dy, dz)) @ component(
+            du, dv * dw, dx, dy * dz
+        )
+        route4 = kron(component(du, dv, dx, dy), identity(p, dw * dz)) @ component(
+            du * dv, dw, dx * dy, dz
+        )
+        if not route3 == route4:
+            assoc_ok = False
+            assoc_note = f"second-product nesting at dims {(du, dv, dw, dx, dy, dz)}"
+            break
+    r.add_flag("interchange associativity nestings", assoc_ok, note=assoc_note)
+
+    unit_ok = True
+    unit_note = ""
+    for dw, dx in itertools.product(dims, repeat=2):
+        iwx = identity(p, dw * dx)
+        u1 = ctx.zeta(kron(iwx, ctx.Delta), dw, dx, di, di)
+        u2 = ctx.zeta(kron(ctx.Delta, iwx), di, di, dw, dx)
+        u3 = kron(iwx, ctx.mu) @ component(dw, dj, dx, dj)
+        u4 = kron(ctx.mu, iwx) @ component(dj, dw, dj, dx)
+        for name, got in (
+            ("Delta right", u1),
+            ("Delta left", u2),
+            ("mu right", u3),
+            ("mu left", u4),
+        ):
+            if not got == iwx:
+                unit_ok = False
+                unit_note = f"{name} unit square at dims {(dw, dx)}"
+                break
+        if not unit_ok:
+            break
+    r.add_flag("interchange unit squares", unit_ok, note=unit_note)
+    return r

@@ -1,7 +1,11 @@
+import dataclasses
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entwine.exactalg import FpMatrix, identity, swap_matrix, zeros
+from entwine.exactalg import FpMatrix, ShapeError, identity, permute_legs, swap_matrix, zeros
 from entwine.report import UnsupportedError
 from entwine.structures import BimonoidData, ComonoidData
 from entwine.hopfmod import galois_map_beta
@@ -15,7 +19,7 @@ from entwine.duoidal import (
 )
 
 from conftest import BIMONOID_FIXTURES, corpus_bimonoid
-from oracles import oracle_beta_prime
+from oracles import oracle_beta_prime, oracle_duoidal
 
 
 def verdicts(report):
@@ -70,6 +74,97 @@ def test_identity_zeta_fails_naturality():
     ctx = DuoidalCtx("broken", 3, 1, 1, broken_zeta, base.Delta, base.mu, base.tau)
     rep = check_duoidal(ctx, probe_dims=(1, 2))
     assert verdicts(rep)["interchange naturality on probe maps"] is False
+
+
+def test_identity_zeta_note_names_first_failing_slot():
+    # the identity W(x)X(x)Y(x)Z -> W(x)Y(x)X(x)Z is the interchange while X
+    # or Y is a line; at (1, 2, 2, 1) it commutes with maps on W but not on X
+    base = braided_duoidal(3)
+    ctx = dataclasses.replace(base, tag="identity", zeta=lambda x, *legs: x)
+    (nat,) = (c for c in check_duoidal(ctx).checks if c.name.startswith("interchange nat"))
+    assert not nat.passed and nat.note == "dims (1, 2, 2, 1), slot 1"
+
+
+@pytest.mark.parametrize("probe_dims", ((), (0,), (1, 0), (2, -1)))
+def test_vacuous_probe_dims_rejected(probe_dims):
+    # with no positive probe dimension every interchange flag would pass,
+    # even for a zeta that is not natural
+    with pytest.raises(ShapeError):
+        check_duoidal(braided_duoidal(3), probe_dims=probe_dims)
+
+
+def test_zeta_components_read_once_per_call():
+    # 16 naturality components, 40 more for the nestings, 128 actions on
+    # the nestings' first routes and 8 on the Delta unit squares
+    base = braided_duoidal(5)
+    calls = []
+
+    def counted(x, *legs):
+        calls.append(legs)
+        return base.zeta(x, *legs)
+
+    assert check_duoidal(dataclasses.replace(base, zeta=counted), probe_dims=(1, 2)).ok
+    assert len(calls) <= 192
+
+
+@st.composite
+def faulty_contexts(draw, probes):
+    """A braided context with one fault, and probe dimensions from probes:
+    zeta replaced at one probe tuple (by the identity, a scalar multiple or
+    one mutated entry), zeta shuffling the wrong legs, or Delta, mu or tau
+    scaled (0 zeroes it)."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    probe = draw(st.sampled_from(probes))
+    base = braided_duoidal(p)
+    kind = draw(st.sampled_from(("component", "legs", "structure")))
+    if kind == "component":
+        at = tuple(draw(st.lists(st.sampled_from(probe), min_size=4, max_size=4)))
+        z = np.array(base.zeta(identity(p, prod(at)), *at).a)
+        how = draw(st.sampled_from(("identity", "scalar", "entry")))
+        if how == "identity":
+            z = np.eye(len(z), dtype=np.int64)
+        elif how == "scalar":
+            z *= draw(st.integers(0, p - 1))
+        else:
+            k = draw(st.integers(0, z.size - 1))
+            z.flat[k] += draw(st.integers(1, p - 1))
+        fault = FpMatrix(p, z)
+
+        def zeta(x, *legs):
+            return fault @ x if legs == at else base.zeta(x, *legs)
+
+        return dataclasses.replace(base, tag=f"{how} at {at}", zeta=zeta), probe
+    if kind == "legs":
+        perm = tuple(draw(st.permutations(range(4))))
+
+        def zeta(x, *legs):
+            return permute_legs(x, legs, perm)
+
+        return dataclasses.replace(base, tag=f"legs {perm}", zeta=zeta), probe
+    name = draw(st.sampled_from(("Delta", "mu", "tau")))
+    c = draw(st.integers(0, p - 1))
+    scaled = FpMatrix(p, c * getattr(base, name).a)
+    return dataclasses.replace(base, tag=f"{c} {name}", **{name: scaled}), probe
+
+
+def assert_rows_match_oracle(ctx, probe):
+    def rows(report):
+        return [(c.name, c.verdict, c.note, c.counterexample) for c in report.checks]
+
+    assert rows(check_duoidal(ctx, probe)) == rows(oracle_duoidal(ctx, probe))
+
+
+@given(faulty_contexts(((1, 2), (2,))))
+def test_check_duoidal_matches_probe_map_oracle(case):
+    assert_rows_match_oracle(*case)
+
+
+# a passing (1, 2, 3) probe takes the oracle about 2 s, so this sweep draws
+# fewer examples than the profile's default
+@settings(max_examples=5)
+@given(faulty_contexts(((1, 2, 3),)))
+def test_check_duoidal_matches_probe_map_oracle_at_three_dims(case):
+    assert_rows_match_oracle(*case)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,20 @@ def test_kron_zero_trivial():
     assert kron(zeros(3, 1, 1), m) == zeros(3, 2, 2)
 
 
+@pytest.mark.parametrize("p", (2, 5, 2**31 - 1))
+@pytest.mark.parametrize(
+    "shapes", (((0, 3), (2, 2)), ((3, 0), (2, 3)), ((2, 2), (0, 3)), ((1, 1), (1, 1)), ((2, 3), (4, 1)))
+)
+def test_kron_matches_numpy_bit_for_bit(p, shapes):
+    rng = np.random.default_rng(2718)
+    m, n = (rand_matrix(rng, p, *shape) for shape in shapes)
+    top = FpMatrix(p, np.full(shapes[0], p - 1))  # largest products, (p-1)^2 < 2^62
+    for left in (m, top):
+        got, want = kron(left, n).a, np.kron(left.a, n.a) % p
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_kron_modulus_mismatch():
     with pytest.raises(ShapeError):
         kron(identity(2, 1), identity(3, 1))
