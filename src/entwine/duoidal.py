@@ -12,9 +12,9 @@ for any four object dimensions: ``zeta(x, dw, dx, dy, dz)`` returns
 ``zeta_{W,X,Y,Z} @ x`` for a matrix x whose rows index the source, so a
 large component is applied without being built.  Only the braided instance
 (both products the plain tensor product, zeta the middle transposition) is
-concretely constructible here; the context is an interface so that
-genuinely non-degenerate instances can be added without touching the
-checkers.
+concretely constructible here; the context is an interface that
+check_duoidal reads through zeta alone, while check_bimonoid computes law
+(I) for the middle transposition and refuses any other interchange.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .exactalg import (
     FpMatrix,
     ShapeError,
-    apply_leg,
+    _contract,
     identity,
     is_prime,
     kron,
@@ -195,8 +195,9 @@ def check_duoidal(ctx: DuoidalCtx, probe_dims=(1, 2)) -> Report:
 
 
 def check_bimonoid(a: BimonoidData, ctx: DuoidalCtx) -> Report:
-    """Bimonoid diagrams (I)-(IV) through the context's interchange and unit
-    morphisms, the routine check_bialgebra runs in the symmetric context.
+    """Bimonoid diagrams (I)-(IV) through the context's unit morphisms, the
+    routine check_bialgebra runs in the symmetric context; a context whose
+    interchange is not the middle transposition is refused (UnsupportedError).
     Assumes the underlying monoid and comonoid already check."""
     if ctx.p != a.p:
         raise ShapeError(f"context over F_{ctx.p}, bimonoid over F_{a.p}")
@@ -204,8 +205,10 @@ def check_bimonoid(a: BimonoidData, ctx: DuoidalCtx) -> Report:
         raise UnsupportedError(
             "bimonoid checking is implemented for contexts with 1-dimensional units"
         )
+    if ctx.zeta is not _middle_transposition:
+        raise UnsupportedError(f"bimonoid checking needs the middle transposition, not {ctx.tag!r}'s zeta")
     r = Report("bimonoid diagrams", subject=ctx.tag)
-    _bimonoid_diagrams(r, a, ctx.zeta, ctx.mu, ctx.Delta, ctx.tau)
+    _bimonoid_diagrams(r, a, ctx.mu, ctx.Delta, ctx.tau)
     return r
 
 
@@ -228,10 +231,9 @@ def galois_map_Kprime(a: BimonoidData, ctx: DuoidalCtx) -> GaloisReport:
 
         beta': A(x)A -> A(x)A,  a(x)b |-> a1 (x) a2.b
 
-    assembled as (I(x)m).(delta(x)I).  Only the braided context is supported.
+    that is (I(x)m).(delta(x)I).  Only the braided context is supported.
     """
     if ctx.tag != BRAIDED_TAG:
         raise UnsupportedError(f"unsupported duoidal context {ctx.tag!r}")
     require("bimonoid", a.axioms)
-    d = a.dim
-    return canonical_map_report(apply_leg(a.m, kron(a.delta, identity(a.p, d)), (d, d * d), 1))
+    return canonical_map_report(_contract("ija,yjb->iy|ab", a.delta, a.m, dict.fromkeys("ijayb", a.dim)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import FpMatrix, ShapeError, apply_leg, identity, kron, permute_legs
+from .exactalg import FpMatrix, ShapeError, _contract, apply_leg, identity, kron, permute_legs
 from .report import Report, UnsupportedError, require
 from .structures import (
     BimonoidData,
@@ -122,14 +122,12 @@ def check_entwining(ed: EntwiningData) -> Report:
 
 def entwining_from_bimonoid(a: BimonoidData) -> EntwiningData:
     """Canonical entwining of a bimonoid: C = A as a comonoid and
-    c(x)a |-> a1 (x) c.a2, assembled as (I(x)m).(swap(x)I).(I(x)delta).
+    c(x)a |-> a1 (x) c.a2: lambda0[(a1, z), (c, a)] = sum delta[(a1, a2), a] m[z, c, a2].
 
     Precondition: ``a`` passes check_bialgebra.
     """
     require("bimonoid", a.axioms)
-    d = a.dim
-    c_a1_a2 = kron(identity(a.p, d), a.delta)
-    lam = apply_leg(a.m, permute_legs(c_a1_a2, (d, d, d), (1, 0, 2)), (d, d * d), 1)
+    lam = _contract("ija,zcj->iz|ca", a.delta, a.m, dict.fromkeys("ijazc", a.dim))
     return EntwiningData(a.monoid, a.comonoid, lam, RIGHT)
 
 

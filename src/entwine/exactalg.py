@@ -229,6 +229,24 @@ def _product(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.matmul(a.astype(object), b.astype(object)) % p).astype(np.int64)
 
 
+def _contract(spec: str, x: FpMatrix, y: FpMatrix, dims: dict) -> FpMatrix:
+    """Two maps contracted over shared legs, as for np.einsum: in ``"uxi,ija->uj|xa"``
+    each letter names a leg, of dimension ``dims[letter]``, of x, of y (row legs,
+    then column legs) or of the result (row legs before ``|``, column legs
+    after).  The legs x and y share are summed over by one exact _product."""
+    x._match(y)
+    (xs, ys), (rows, cols) = spec.split("->")[0].split(","), spec.split("->")[1].split("|")
+    summed = "".join(c for c in xs if c in ys)
+    xf, yf = "".join(c for c in xs if c not in summed), "".join(c for c in ys if c not in summed)
+
+    def regroup(a: np.ndarray, legs: str, first: str, second: str) -> np.ndarray:
+        t = a.reshape([dims[c] for c in legs]).transpose([legs.index(c) for c in first + second])
+        return t.reshape(prod(dims[c] for c in first), prod(dims[c] for c in second))
+
+    t = _product(x.p, regroup(x.a, xs, xf, summed), regroup(y.a, ys, summed, yf))
+    return FpMatrix._reduced(x.p, regroup(t, xf + yf, rows, cols))
+
+
 def identity(p: int, n: int) -> FpMatrix:
     return FpMatrix(p, np.eye(n, dtype=np.int64))
 

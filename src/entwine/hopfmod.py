@@ -26,6 +26,7 @@ import numpy as np
 from .exactalg import (
     FpMatrix,
     ShapeError,
+    _contract,
     _product,
     apply_leg,
     identity,
@@ -33,7 +34,6 @@ from .exactalg import (
     kernel_basis,
     kron,
     left_inverse,
-    permute_legs,
     rank,
     rref,
     solve,
@@ -44,6 +44,7 @@ from .structures import (
     ComonoidData,
     ComoduleAlgebraData,
     ModuleData,
+    _expect,
     check_module,
     check_right_comodule,
 )
@@ -110,26 +111,21 @@ class GaloisReport:
 
 def check_hopf_module(m: HopfModuleData, ed: EntwiningData) -> Report:
     """Module axioms, comodule axioms and the compatibility pentagon
-    theta.h = (h(x)I_C).(I_X(x)lambda0).(theta(x)I_A), all exact."""
+    theta.h = (h(x)I_C).(I_X(x)lambda0).(theta(x)I_A), all exact; the right
+    side contracts h with theta, then with lambda0, in dX^2*dA*dC entries."""
     if ed.side != RIGHT:
         raise ShapeError("Hopf modules are defined over right-side entwinings")
     da, dc, dx = ed.monoid.dim, ed.comonoid.dim, m.dim
-    if m.action.shape != (dx, dx * da):
-        raise ShapeError(f"action: expected shape ({dx}, {dx * da}), got {m.action.shape}")
-    if m.coaction.shape != (dx * dc, dx):
-        raise ShapeError(
-            f"coaction: expected shape ({dx * dc}, {dx}), got {m.coaction.shape}"
-        )
+    _expect(m.action, (dx, dx * da), "action")
+    _expect(m.coaction, (dx * dc, dx), "coaction")
     r = Report("Hopf module axioms")
     r.merge(check_module(ModuleData(dx, m.action, "right"), ed.monoid))
     r.merge(check_right_comodule(dx, m.coaction, ed.comonoid))
-    x_c_a = kron(m.coaction, identity(ed.p, da))
-    x_a_c = apply_leg(ed.lambda0, x_c_a, (dx, dc * da), 1)
-    r.require_equal(
-        "compatibility pentagon",
-        m.coaction @ m.action,
-        apply_leg(m.action, x_a_c, (dx * da, dc), 0),
-    )
+    # h[x', (x1, a')], theta[(x1, c), x], lambda0[(a', c'), (c, a)]
+    dims = dict(u=dx, k=dx, x=dx, a=da, b=da, c=dc, d=dc)
+    h_theta = _contract("uka,kcx->ux|ac", m.action, m.coaction, dims)
+    rhs = _contract("uxac,adcb->ud|xb", h_theta, ed.lambda0, dims)
+    r.require_equal("compatibility pentagon", m.coaction @ m.action, rhs)
     return r
 
 
@@ -208,7 +204,7 @@ def galois_map_beta(a: BimonoidData, want_antipode: bool = True) -> GaloisReport
     """
     require("bimonoid", a.axioms)
     d = a.dim
-    g = canonical_map_report(apply_leg(a.m, kron(identity(a.p, d), a.delta), (d * d, d), 0))
+    g = canonical_map_report(_contract("uxi,ija->uj|xa", a.m, a.delta, dict.fromkeys("uxija", d)))
     if not g.invertible:
         return replace(g, note="not Galois: no antipode")
     if not want_antipode:
@@ -231,9 +227,10 @@ def galois_map_generalized(b: ComoduleAlgebraData, c: ComonoidData) -> GaloisRep
     require("bimonoid", b.over.axioms)
     require("comodule algebra", b.axioms)
     da, db, dc = b.over.dim, b.algebra.dim, c.dim
-    a_b_c_b = kron(b.rho, identity(b.over.p, dc * db))
-    a_c_b_b = permute_legs(a_b_c_b, (da, db, dc, db), (0, 2, 1, 3))
-    return canonical_map_report(apply_leg(b.algebra.m, a_c_b_b, (da * dc, db * db), 1))
+    # t[(a, y), (b, b')] = sum rho[(a, b0), b] m_B[y, b0, b']; the C leg passes as delta_{c', c}
+    t = _contract("akb,ykv->ay|bv", b.rho, b.algebra.m, dict(a=da, k=db, b=db, y=db, v=db))
+    can = t.a.reshape(da, 1, db, db, 1, db) * np.eye(dc, dtype=np.int64).reshape(1, dc, 1, 1, dc, 1)
+    return canonical_map_report(FpMatrix._reduced(c.p, can.reshape(da * dc * db, db * dc * db)))
 
 
 # ---------------------------------------------------------------------------

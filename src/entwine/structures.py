@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
 from .exactalg import (
     FpMatrix,
     ShapeError,
+    _contract,
     apply_leg,
     identity,
     kron,
@@ -100,9 +99,9 @@ class ComonoidData:
 class BimonoidData:
     """A monoid and a comonoid on one carrier; compatibility is checked on
     demand, not assumed at construction.  Diagrams (I)-(IV) are written once,
-    through an interchange action: check_bialgebra runs them in the
+    through the middle transposition: check_bialgebra runs them in the
     symmetric context, check_bimonoid in the duoidal module through a
-    context's maps.  Constructors that need a bimonoid read the memoised
+    context's unit maps.  Constructors that need a bimonoid read the memoised
     ``axioms``, so each object is proved at most once."""
 
     monoid: MonoidData
@@ -259,39 +258,27 @@ def _middle_transposition(x: FpMatrix, dw: int, dx: int, dy: int, dz: int) -> Fp
     return permute_legs(x, (dw, dx, dy, dz), (0, 2, 1, 3))
 
 
-# entries of one column block of law (I): d <= 10 runs as a single block
-_LAW_ONE_CELLS = 1 << 20
+def _law_one_rhs(rho: FpMatrix, m_a: FpMatrix, m_b: FpMatrix) -> FpMatrix:
+    """(m_A(x)m_B).zeta.(rho(x)rho) for a coaction rho: B -> A(x)B, zeta the
+    middle transposition: at ((x,y),(b,b')), sum m_A[x,a1,a2] m_B[y,c1,c2]
+    rho[(a1,c1),b] rho[(a2,c2),b'].  Three contractions (m_A with the first
+    rho over a1, m_B with the second over c2, the two over (a2, c1)) hold at
+    most dA^2*dB^2 or dA*dB^3 entries: d^4 for a bimonoid, which is its own
+    regular comodule algebra (rho = delta, m_A = m_B = m)."""
+    dims = {**dict.fromkeys("xij", m_a.rows), **dict.fromkeys("yklbc", m_b.rows)}
+    t1 = _contract("xij,ikb->xb|jk", m_a, rho, dims)
+    t2 = _contract("ykl,jlc->jk|yc", m_b, rho, dims)
+    return _contract("xbjk,jkyc->xy|bc", t1, t2, dims)
 
 
-def _law_one_rhs(rho: FpMatrix, m_a: FpMatrix, m_b: FpMatrix, zeta) -> FpMatrix:
-    """(m_A(x)m_B).zeta.(rho(x)rho) for a coaction rho: B -> A(x)B, over
-    column blocks of the first rho: columns i of the first rho give the
-    result's columns (i, j), a contiguous range.  A block of b columns holds
-    da^2 * db^3 * b entries, and b is the most that _LAW_ONE_CELLS allows,
-    one at least.  A bimonoid is its own regular comodule algebra (rho =
-    delta, m_A = m_B = m), so its blocks hold d^5 * b entries."""
-    p, da, db = rho.p, m_a.rows, m_b.rows
-    step = max(1, _LAW_ONE_CELLS // max(da**2 * db**3, 1))
-
-    # a function, so that a block's arrays are freed before the next
-    def block(first: FpMatrix) -> np.ndarray:
-        a1_a2_b1_b2 = zeta(kron(first, rho), da, db, da, db)
-        return apply_leg(m_b, apply_leg(m_a, a1_a2_b1_b2, (da * da, db * db), 0), (da, db * db), 1).a
-
-    out = np.empty((da * db, db * db), dtype=np.int64)
-    for i in range(0, db, step):
-        out[:, i * db:(i + step) * db] = block(FpMatrix._reduced(p, rho.a[:, i:i + step]))
-    return FpMatrix._reduced(p, out)
-
-
-def _bimonoid_diagrams(r: Report, a: BimonoidData, zeta, mu, Delta, tau) -> None:
-    """Add bimonoid diagrams (I)-(IV) of ``a`` to r, through the interchange
-    action zeta (as in a duoidal context) and the unit maps mu: J o J -> J,
+def _bimonoid_diagrams(r: Report, a: BimonoidData, mu, Delta, tau) -> None:
+    """Add bimonoid diagrams (I)-(IV) of ``a`` to r, through the middle
+    transposition as interchange and the unit maps mu: J o J -> J,
     Delta: I -> I * I and tau: I -> J, both units one-dimensional."""
     r.require_equal(
         "comultiplication is multiplicative (I)",
         a.delta @ a.m,
-        _law_one_rhs(a.delta, a.m, a.m, zeta),
+        _law_one_rhs(a.delta, a.m, a.m),
     )
     r.require_equal("counit is multiplicative (II)", a.eps @ a.m, mu @ kron(a.eps, a.eps))
     r.require_equal("unit is group-like (III)", a.delta @ a.e, kron(a.e, a.e) @ Delta)
@@ -306,7 +293,7 @@ def check_bialgebra(a: BimonoidData) -> Report:
     r.merge(check_monoid(a.monoid))
     r.merge(check_comonoid(a.comonoid))
     one = identity(a.p, 1)
-    _bimonoid_diagrams(r, a, _middle_transposition, one, one, one)
+    _bimonoid_diagrams(r, a, one, one, one)
     return r
 
 
@@ -367,11 +354,7 @@ def check_comodule_algebra(b: ComoduleAlgebraData) -> Report:
     r = Report("comodule algebra axioms")
     a, alg = b.over, b.algebra
     r.merge(check_left_comodule(alg.dim, b.rho, a.comonoid))
-    r.require_equal(
-        "coaction is multiplicative",
-        b.rho @ alg.m,
-        _law_one_rhs(b.rho, a.m, alg.m, _middle_transposition),
-    )
+    r.require_equal("coaction is multiplicative", b.rho @ alg.m, _law_one_rhs(b.rho, a.m, alg.m))
     r.require_equal("coaction preserves the unit", b.rho @ alg.e, kron(a.e, alg.e))
     return r
 

@@ -422,7 +422,8 @@ def oracle_entwining(ed) -> dict:
 
 
 def oracle_pentagon(mod, ed) -> bool:
-    """theta(h(x (x) a)) == (h (x) I).(I (x) psi).(theta (x) I) on basis pairs."""
+    """theta(h(x (x) a)) == (h (x) I).(I (x) psi).(theta (x) I) on basis pairs,
+    summed in Python integers, so exact for every p < 2^31."""
     p = ed.p
     da, dc, dx = ed.monoid.dim, ed.comonoid.dim, mod.dim
     w = entwine_pairs(ed)
@@ -430,12 +431,12 @@ def oracle_pentagon(mod, ed) -> bool:
     for xi in range(dx):
         for ai in range(da):
             acted = np.array(mod.action.a[:, xi * da + ai])
-            lhs = np.zeros((dx, dc), dtype=np.int64)
+            lhs = np.zeros((dx, dc), dtype=object)
             for k in range(dx):
                 if acted[k]:
-                    lhs += int(acted[k]) * np.array(mod.coaction.a[:, k]).reshape(dx, dc)
+                    lhs += int(acted[k]) * np.array(mod.coaction.a[:, k]).reshape(dx, dc).astype(object)
             theta_x = np.array(mod.coaction.a[:, xi]).reshape(dx, dc)
-            rhs = np.zeros((dx, dc), dtype=np.int64)
+            rhs = np.zeros((dx, dc), dtype=object)
             for x1 in range(dx):
                 for c1 in range(dc):
                     if not theta_x[x1, c1]:
@@ -445,45 +446,87 @@ def oracle_pentagon(mod, ed) -> bool:
                         for c2 in range(dc):
                             if not ent[a1, c2]:
                                 continue
-                            hx = np.array(mod.action.a[:, x1 * da + a1])
-                            for x2 in range(dx):
-                                rhs[x2, c2] += int(theta_x[x1, c1]) * int(ent[a1, c2]) * int(hx[x2])
+                            hx = np.array(mod.action.a[:, x1 * da + a1]).astype(object)
+                            rhs[:, c2] += int(theta_x[x1, c1]) * int(ent[a1, c2]) * hx
             good &= np.array_equal(lhs % p, rhs % p)
     return good
 
 
 def oracle_beta(a) -> np.ndarray:
     """The canonical map assembled by basis-pair evaluation: column at
-    (x, a) holds the coordinates of x.a1 (x) a2."""
+    (x, a) holds the coordinates of x.a1 (x) a2.  Each term is below 2^62
+    and the sums are Python integers, so this is exact for every p < 2^31."""
     d, p = a.dim, a.p
     out = np.zeros((d * d, d * d), dtype=np.int64)
     for xi in range(d):
         for ai in range(d):
             dsplit = comul_elem(a.comonoid, ai)
-            col = np.zeros((d, d), dtype=np.int64)
+            col = np.zeros((d, d), dtype=object)
             for a1 in range(d):
                 for a2 in range(d):
                     if not dsplit[a1, a2]:
                         continue
-                    col += int(dsplit[a1, a2]) * np.outer(mul_elem(a.monoid, xi, a1), np.eye(d, dtype=np.int64)[a2])
+                    col += int(dsplit[a1, a2]) * np.outer(
+                        mul_elem(a.monoid, xi, a1), np.eye(d, dtype=np.int64)[a2]
+                    ).astype(object)
             out[:, xi * d + ai] = (col % p).reshape(-1)
     return out
 
 
 def oracle_beta_prime(a) -> np.ndarray:
-    """Column at (a, b) holds the coordinates of a1 (x) a2.b."""
+    """Column at (a, b) holds the coordinates of a1 (x) a2.b (exact as
+    oracle_beta is)."""
     d, p = a.dim, a.p
     out = np.zeros((d * d, d * d), dtype=np.int64)
     for ai in range(d):
         for bi in range(d):
             dsplit = comul_elem(a.comonoid, ai)
-            col = np.zeros((d, d), dtype=np.int64)
+            col = np.zeros((d, d), dtype=object)
             for a1 in range(d):
                 for a2 in range(d):
                     if not dsplit[a1, a2]:
                         continue
-                    col += int(dsplit[a1, a2]) * np.outer(np.eye(d, dtype=np.int64)[a1], mul_elem(a.monoid, a2, bi))
+                    col += int(dsplit[a1, a2]) * np.outer(
+                        np.eye(d, dtype=np.int64)[a1], mul_elem(a.monoid, a2, bi)
+                    ).astype(object)
             out[:, ai * d + bi] = (col % p).reshape(-1)
+    return out
+
+
+def oracle_lambda0(a) -> np.ndarray:
+    """The canonical entwining of a bimonoid, C = A: column at (c, a) holds
+    the coordinates of a1 (x) c.a2, summed in Python integers."""
+    d, p = a.dim, a.p
+    out = np.zeros((d * d, d * d), dtype=np.int64)
+    for ci in range(d):
+        for ai in range(d):
+            dsplit = comul_elem(a.comonoid, ai)
+            col = np.zeros((d, d), dtype=object)
+            for a1 in range(d):
+                for a2 in range(d):
+                    if dsplit[a1, a2]:
+                        col[a1] += int(dsplit[a1, a2]) * mul_elem(a.monoid, ci, a2).astype(object)
+            out[:, ci * d + ai] = (col % p).reshape(-1)
+    return out
+
+
+def oracle_can(b, dc: int) -> np.ndarray:
+    """The generalized canonical map B(x)C(x)B -> A(x)C(x)B for a comodule
+    algebra b and a coalgebra of dimension dc: column at (b, c, b') holds
+    the coordinates of b(-1) (x) c (x) b(0).b', summed in Python integers."""
+    alg, p = b.algebra, b.algebra.p
+    da, db = b.over.dim, alg.dim
+    out = np.zeros((da * dc * db, db * dc * db), dtype=np.int64)
+    for bi in range(db):
+        coaction = np.array(b.rho.a[:, bi]).reshape(da, db)  # b(-1) (x) b(0)
+        for ci in range(dc):
+            for bj in range(db):
+                col = np.zeros((da, dc, db), dtype=object)
+                for a1 in range(da):
+                    for b0 in range(db):
+                        if coaction[a1, b0]:
+                            col[a1, ci] += int(coaction[a1, b0]) * mul_elem(alg, b0, bj).astype(object)
+                out[:, (bi * dc + ci) * db + bj] = (col % p).reshape(-1)
     return out
 
 

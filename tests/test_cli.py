@@ -1,10 +1,16 @@
 import gc
 import json
+import os
+import resource
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entwine
 from entwine import cli, duoidal, entwining, exactalg, hopfmod, structures
 from entwine.cli import main, report_json
 from entwine.exactalg import FpMatrix
@@ -478,14 +484,42 @@ def test_make_instance_round_trips(tmp_path, capsys):
 
 
 def test_dense_group_algebra_of_order_12(tmp_path, capsys):
-    # the leg-by-leg kernel and law (I) in column blocks keep every
-    # intermediate within a few times d^5 entries; a dense d^4 x d^4 swap
-    # would ask for 3.2 GiB here
+    # the leg-by-leg kernel and the contractions keep every intermediate
+    # within a few times d^4 entries; a dense d^4 x d^4 swap would ask for
+    # 3.2 GiB here
     out_path = tmp_path / "z12.json"
     code, _, _ = run(capsys, "make-instance", "group-algebra", "--p", "5", "--order", "12", "--out", str(out_path))
     assert code == 0
     for command in ("check-bimonoid", "galois", "fundamental-theorem"):
         assert run(capsys, command, str(out_path), "--json")[0] == 0, command
+
+
+def run_capped(*argv):
+    """The CLI in a child process whose address space is capped at 1.5 GiB
+    (set in that child alone).  One BLAS thread: its buffers count against
+    the cap as well."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+    src = str(Path(entwine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "entwine", *argv], preexec_fn=cap, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_fundamental_theorem_of_order_24_under_a_memory_cap(tmp_path):
+    # the Hopf-module pentagon of K(F^3) once built kron(coaction, I_A) and
+    # a float64 copy of a (72, 576, 1728) stack here, out of memory under
+    # the cap; its two contractions hold about dX^2 * d^2 entries
+    path = str(tmp_path / "z24.json")
+    made = run_capped("make-instance", "group-algebra", "--p", "5", "--order", "24", "--out", path)
+    assert made.returncode == 0, made.stderr
+    done = run_capped("fundamental-theorem", path, "--json")
+    assert done.returncode == 0, done.stderr
+    verdicts = {c["name"]: c["verdict"] for c in json.loads(done.stdout)["checks"]}
+    assert verdicts["A: coinvariants of K(F^3) have dimension 3"] == "PASS"
 
 
 def test_make_instance_stdout(capsys):

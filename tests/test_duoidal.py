@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from entwine.exactalg import FpMatrix, ShapeError, identity, permute_legs, swap_matrix, zeros
 from entwine.report import UnsupportedError
-from entwine.structures import BimonoidData, ComonoidData
+from entwine.structures import BimonoidData, ComonoidData, _middle_transposition
 from entwine.hopfmod import galois_map_beta
 from entwine.duoidal import (
     DuoidalCtx,
@@ -18,7 +18,14 @@ from entwine.duoidal import (
     tau_splitting,
 )
 
-from conftest import BIMONOID_FIXTURES, corpus_bimonoid
+from conftest import (
+    BIMONOID_FIXTURES,
+    SWEEP_PRIMES,
+    corpus_bimonoid,
+    mutated_fixtures,
+    proved,
+    random_structure_constants,
+)
 from oracles import oracle_beta_prime, oracle_duoidal
 
 
@@ -177,6 +184,17 @@ def test_bimonoid_diagrams_pass_on_corpus(name):
     assert check_bimonoid(a, braided_duoidal(a.p)).ok
 
 
+def test_bimonoid_diagrams_refuse_another_interchange():
+    # a wrapper acts as the middle transposition but is not it: law (I) is
+    # computed for the middle transposition alone, so the context is refused
+    # rather than checked as if it were the symmetric one
+    wrapped = dataclasses.replace(
+        braided_duoidal(3), tag="wrapped", zeta=lambda x, *dims: _middle_transposition(x, *dims)
+    )
+    with pytest.raises(UnsupportedError, match="'wrapped'"):
+        check_bimonoid(corpus_bimonoid("kz2_f3"), wrapped)
+
+
 def test_zeroed_counit_breaks_diagram_two():
     # eps(g) = 0 over F_3 kills multiplicativity at g.g: eps(u) = 1 != 0
     a = corpus_bimonoid("kz2_f3")
@@ -271,6 +289,18 @@ def test_kprime_idempotent_monoid_rank_three():
 def test_kprime_matches_basis_pair_oracle(name):
     a = corpus_bimonoid(name)
     g = galois_map_Kprime(a, braided_duoidal(a.p))
+    assert g.base_map == FpMatrix(a.p, oracle_beta_prime(a))
+
+
+@given(random_structure_constants(SWEEP_PRIMES))
+def test_kprime_matches_oracle_on_random_structure_constants(a):
+    g = galois_map_Kprime(proved(a), braided_duoidal(a.p))
+    assert g.base_map == FpMatrix(a.p, oracle_beta_prime(a))
+
+
+@given(mutated_fixtures())
+def test_kprime_matches_oracle_on_mutated_fixtures(a):
+    g = galois_map_Kprime(proved(a), braided_duoidal(a.p))
     assert g.base_map == FpMatrix(a.p, oracle_beta_prime(a))
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from entwine.exactalg import FpMatrix, identity, kron, swap_matrix
 from entwine.report import PreconditionError, UnsupportedError
@@ -21,8 +22,16 @@ from entwine.entwining import (
     rebuild_base_map,
 )
 
-from conftest import BIMONOID_FIXTURES, corpus_bimonoid, corpus_instance
-from oracles import oracle_entwining, oracle_lifted_action
+from conftest import (
+    BIMONOID_FIXTURES,
+    SWEEP_PRIMES,
+    corpus_bimonoid,
+    corpus_instance,
+    mutated_fixtures,
+    proved,
+    random_structure_constants,
+)
+from oracles import oracle_entwining, oracle_lambda0, oracle_lifted_action
 
 
 def verdicts(report):
@@ -76,6 +85,16 @@ def test_derived_entwining_passes_and_matches_oracle(name):
     rep = check_entwining(ed)
     assert rep.ok
     assert verdicts(rep) == oracle_entwining(ed)
+
+
+@given(random_structure_constants(SWEEP_PRIMES))
+def test_canonical_entwining_matches_oracle_on_random_structure_constants(a):
+    assert entwining_from_bimonoid(proved(a)).lambda0 == FpMatrix(a.p, oracle_lambda0(a))
+
+
+@given(mutated_fixtures())
+def test_canonical_entwining_matches_oracle_on_mutated_fixtures(a):
+    assert entwining_from_bimonoid(proved(a)).lambda0 == FpMatrix(a.p, oracle_lambda0(a))
 
 
 def test_every_single_entry_perturbation_fails():

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from entwine import exactalg, hopfmod
 from entwine.duoidal import braided_duoidal, galois_map_Kprime
@@ -40,13 +40,18 @@ from entwine.hopfmod import (
 from conftest import (
     BIMONOID_FIXTURES,
     HOPF_FIXTURES,
+    SWEEP_PRIMES,
     chain_algebra,
     corpus_bimonoid,
     corpus_instance,
+    draw_entries,
+    mutated_comodule_fixtures,
     mutated_fixtures,
+    proved,
+    random_comodule_algebras,
     random_structure_constants,
 )
-from oracles import oracle_beta, oracle_characters, oracle_group_likes, oracle_pentagon
+from oracles import oracle_beta, oracle_can, oracle_characters, oracle_group_likes, oracle_pentagon
 
 
 def regular_module(a: BimonoidData) -> HopfModuleData:
@@ -147,6 +152,33 @@ def test_coinvariants_zero_module():
     assert coinvariants(m, a.e).cols == 0
 
 
+@st.composite
+def hopf_module_cases(draw, bimonoids):
+    """K(F^d), d = 1 or 2, on a drawn bimonoid's constants, as built or with
+    one entry of its action or coaction bumped, over the canonical entwining."""
+    a = proved(draw(bimonoids))
+    mod = comparison_K(draw(st.integers(1, 2)), a)
+    side = draw(st.sampled_from(("", "action", "coaction")))
+    if side:
+        bumped = np.array(getattr(mod, side).a)
+        k = draw(st.integers(0, bumped.size - 1))
+        bumped.flat[k] = (bumped.flat[k] + draw(st.integers(1, a.p - 1))) % a.p
+        mod = dataclasses.replace(mod, **{side: FpMatrix(a.p, bumped)})
+    return mod, entwining_from_bimonoid(a)
+
+
+@given(hopf_module_cases(random_structure_constants(SWEEP_PRIMES)))
+def test_pentagon_matches_oracle_on_random_structure_constants(case):
+    mod, ed = case
+    assert verdicts(check_hopf_module(mod, ed))["compatibility pentagon"] == oracle_pentagon(mod, ed)
+
+
+@given(hopf_module_cases(mutated_fixtures()))
+def test_pentagon_matches_oracle_on_mutated_fixtures(case):
+    mod, ed = case
+    assert verdicts(check_hopf_module(mod, ed))["compatibility pentagon"] == oracle_pentagon(mod, ed)
+
+
 # ---------------------------------------------------------------------------
 # canonical map beta
 # ---------------------------------------------------------------------------
@@ -181,6 +213,16 @@ def test_beta_matches_basis_pair_oracle(name):
     a = corpus_bimonoid(name)
     g = galois_map_beta(a)
     assert g.base_map == FpMatrix(a.p, oracle_beta(a))
+
+
+@given(random_structure_constants(SWEEP_PRIMES))
+def test_beta_matches_oracle_on_random_structure_constants(a):
+    assert galois_map_beta(proved(a)).base_map == FpMatrix(a.p, oracle_beta(a))
+
+
+@given(mutated_fixtures())
+def test_beta_matches_oracle_on_mutated_fixtures(a):
+    assert galois_map_beta(proved(a)).base_map == FpMatrix(a.p, oracle_beta(a))
 
 
 @pytest.mark.parametrize("name", HOPF_FIXTURES)
@@ -253,6 +295,28 @@ def test_generalized_can_of_regular_coaction_is_beta_prime(name):
     g = galois_map_generalized(b, ComonoidData(1, one, one))
     assert g.base_map == galois_map_Kprime(a, braided_duoidal(a.p)).base_map
     assert g.invertible == galois_map_beta(a, want_antipode=False).invertible
+
+
+@st.composite
+def can_cases(draw, comodule_algebras):
+    """A drawn comodule algebra with a coalgebra of dimension 1 to 3; can
+    depends on the coalgebra through its dimension alone."""
+    b = draw(comodule_algebras)
+    proved(b, b.over)
+    p, dc = b.algebra.p, draw(st.integers(1, 3))
+    return b, ComonoidData(dc, FpMatrix(p, draw_entries(draw, p, dc * dc, dc)), FpMatrix(p, draw_entries(draw, p, 1, dc)))
+
+
+@given(can_cases(random_comodule_algebras(SWEEP_PRIMES)))
+def test_generalized_can_matches_oracle_on_random_comodule_algebras(case):
+    b, c = case
+    assert galois_map_generalized(b, c).base_map == FpMatrix(c.p, oracle_can(b, c.dim))
+
+
+@given(can_cases(mutated_comodule_fixtures()))
+def test_generalized_can_matches_oracle_on_mutated_fixtures(case):
+    b, c = case
+    assert galois_map_generalized(b, c).base_map == FpMatrix(c.p, oracle_can(b, c.dim))
 
 
 def test_generalized_can_swap_identity_needs_commutativity():
