@@ -12,6 +12,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -272,7 +273,9 @@ def render_human(rep: Report) -> str:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: it reads no argv, instance or environment value."""
     parser = argparse.ArgumentParser(
         prog="entwine",
         description="exact verification of entwining, Hopf-module and Galois structure over F_p",

@@ -24,6 +24,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .exactalg import FpMatrix, ShapeError, is_prime
 from .report import render_json
 from .structures import (
@@ -127,12 +129,17 @@ def _load_matrix(p: int, name: str, decl, warnings: list) -> FpMatrix:
     )
     _require(
         # type(), not isinstance: JSON true/false load as bool, an int subclass
-        all(type(x) is int for x in entries),
+        set(map(type, entries)) <= {int},
         f"map {name!r}: entries must be integers",
     )
-    if any(not 0 <= x < p for x in entries):
+    try:
+        a = np.array(entries, dtype=np.int64)
+        outside = a.size and (a.min() < 0 or a.max() >= p)
+    except OverflowError:  # an entry outside int64: reduce the Python ints first
+        a, outside = np.array([x % p for x in entries], dtype=np.int64), True
+    if outside:
         warnings.append(f"map {name!r}: entries outside [0, {p}) reduced mod {p}")
-    return FpMatrix.from_flat(p, rows, cols, entries)
+    return FpMatrix(p, a.reshape(rows, cols))
 
 
 def _resolve_roles(inst: InstanceFile) -> None:

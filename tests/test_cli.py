@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -70,6 +71,20 @@ def test_oversized_entries_reduced_with_warning():
     assert inst.warnings and "reduced mod 3" in inst.warnings[0]
     (_, a), = inst.roles_of("bimonoid")
     assert a.e.entries_rowmajor() == [1, 0]
+
+
+def test_entries_beyond_int64_reduced_with_warning(tmp_path, capsys):
+    raw = json.loads(serialize_instance(load_instance(fixture_path("kz2_f3"))))
+    raw["maps"]["e"]["entries"] = [2**70, -3 * 2**70]  # reduces to [1, 0] mod 3
+    inst = instance_from_dict(raw)
+    assert inst.warnings == ["map 'e': entries outside [0, 3) reduced mod 3"]
+    (_, a), = inst.roles_of("bimonoid")
+    assert a.e.entries_rowmajor() == [2**70 % 3, -3 * 2**70 % 3]
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "check-monoid", str(f))
+    assert code == 0 and out
+    assert err == "entwine: warning: map 'e': entries outside [0, 3) reduced mod 3\n"
 
 
 def test_max_dim_cap(tmp_path, monkeypatch):
@@ -400,6 +415,37 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    trees = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "entwine":
+            trees.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    path = fixture_path("kz2_f3")
+    assert run(capsys, "check-monoid", path)[0] == 0
+    assert len(trees) <= 1
+    trees.clear()
+    assert run(capsys, "check-monoid", path)[0] == 0
+    assert not trees
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    path = fixture_path("kz2_f3")
+    before = run(capsys, "fundamental-theorem", path, "--json")
+    one = run(capsys, "fundamental-theorem", path, "--json", "--samples", "1")
+    assert one != before
+    assert run(capsys, "fundamental-theorem", path, "--json") == before
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate", "x.json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "check-monoid", path)[0] == 0
+
+
 @pytest.mark.parametrize(
     "command, name",
     (
@@ -520,6 +566,15 @@ def test_fundamental_theorem_of_order_24_under_a_memory_cap(tmp_path):
     assert done.returncode == 0, done.stderr
     verdicts = {c["name"]: c["verdict"] for c in json.loads(done.stdout)["checks"]}
     assert verdicts["A: coinvariants of K(F^3) have dimension 3"] == "PASS"
+
+
+def test_console_path_matches_in_process_main(capsys):
+    # argv=None: the parser reads sys.argv of a fresh process
+    path = fixture_path("kz2_f3")
+    child = run_capped("check-monoid", path, "--json")
+    code, out, _ = run(capsys, "check-monoid", path, "--json")
+    assert child.returncode == code == 0
+    assert child.stdout == out
 
 
 def test_make_instance_stdout(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entwine import duoidal
 from entwine.exactalg import FpMatrix, ShapeError, identity, permute_legs, swap_matrix, zeros
 from entwine.report import UnsupportedError
 from entwine.structures import BimonoidData, ComonoidData, _middle_transposition
@@ -112,6 +113,21 @@ def test_zeta_components_read_once_per_call():
 
     assert check_duoidal(dataclasses.replace(base, zeta=counted), probe_dims=(1, 2)).ok
     assert len(calls) <= 192
+
+
+def test_nestings_build_no_kronecker_products(monkeypatch):
+    # 8 in the unit-structure rows and 16 in the unit squares; the 256
+    # nesting routes are products of two cached components
+    calls = []
+    kron = duoidal.kron
+
+    def counted(*args):
+        calls.append(args)
+        return kron(*args)
+
+    monkeypatch.setattr(duoidal, "kron", counted)
+    assert check_duoidal(braided_duoidal(5), probe_dims=(1, 2)).ok
+    assert len(calls) <= 24
 
 
 @st.composite
