@@ -321,8 +321,8 @@ def _counit_map(m: HopfModuleData, inc: FpMatrix, da: int) -> FpMatrix:
     return apply_leg(inc.transpose(), m.action.transpose(), (m.dim, da), 0).transpose()
 
 
-def _is_iso(m: FpMatrix) -> bool:
-    return m.rows == m.cols and inverse(m) is not None
+def _is_iso(m: Optional[FpMatrix]) -> bool:
+    return m is not None and m.rows == m.cols and inverse(m) is not None
 
 
 def verify_fundamental_theorem(
@@ -338,8 +338,11 @@ def verify_fundamental_theorem(
     and extra module (Galois case) or a concrete Hopf module whose dimension
     violates dim M = dim A * dim M^co (non-Galois case).
 
-    Equivalence is certified by sampled witnesses, not by abstract
-    comonadicity; the report states exactly what was checked.
+    The sample rows are decided once, on K(F^1), by additivity.  K(F^d) has
+    action I_d(x)m and coaction I_d(x)delta, so for d >= 1 its identities
+    hold iff those of K(F^1) do, its coinvariants are kron(I_d, those of
+    K(F^1)), of dimension d iff K(F^1) has one, and its unit and counit maps
+    are I_d (x) those of K(F^1); for d = 0 every row holds vacuously.
     """
     require("bimonoid", a.axioms)
     p, da = a.p, a.dim
@@ -362,25 +365,22 @@ def verify_fundamental_theorem(
     if g.invertible:
         rep.data["antipode"] = g.antipode
         rep.add_flag("antipode satisfies both antipode axioms", bool(g.antipode_ok))
+        if any(d < 0 for d in sample_dims):
+            raise ShapeError("dimension must be nonnegative")
+        k1 = comparison_K(1, a)
+        inc = coinvariants(k1, a.e)
+        on_k1 = (
+            check_hopf_module(k1, ed).ok,
+            inc.cols == 1,
+            _is_iso(solve(inc, a.e)),
+            _is_iso(_counit_map(k1, inc, da)),
+        )
         for d in sample_dims:
-            kx = comparison_K(d, a)
-            rep.add_flag(
-                f"K(F^{d}) is a Hopf module", check_hopf_module(kx, ed).ok
-            )
-            inc = coinvariants(kx, a.e)
-            rep.add_flag(
-                f"coinvariants of K(F^{d}) have dimension {d}", inc.cols == d
-            )
-            unit_map = kron(identity(p, d), a.e)
-            w = solve(inc, unit_map)
-            rep.add_flag(
-                f"unit map of K(F^{d}) is an isomorphism onto the coinvariants",
-                w is not None and _is_iso(w),
-            )
-            counit_map = _counit_map(kx, inc, da)
-            rep.add_flag(
-                f"counit map of K(F^{d}) is an isomorphism", _is_iso(counit_map)
-            )
+            module, co_dim, unit_iso, counit_iso = (d == 0 or held for held in on_k1)
+            rep.add_flag(f"K(F^{d}) is a Hopf module", module)
+            rep.add_flag(f"coinvariants of K(F^{d}) have dimension {d}", co_dim)
+            rep.add_flag(f"unit map of K(F^{d}) is an isomorphism onto the coinvariants", unit_iso)
+            rep.add_flag(f"counit map of K(F^{d}) is an isomorphism", counit_iso)
         for idx, m in enumerate(extras):
             sub = check_hopf_module(m, ed)
             rep.add_flag(f"extra module {idx} is a Hopf module", sub.ok)

@@ -102,8 +102,9 @@ def test_vacuous_probe_dims_rejected(probe_dims):
 
 
 def test_zeta_components_read_once_per_call():
-    # 16 naturality components, 40 more for the nestings, 128 actions on
-    # the nestings' first routes and 8 on the Delta unit squares
+    # 64 distinct components, each read once: 16 for naturality (the mu
+    # unit squares reuse them) and 48 more for the nestings; plus 8 actions
+    # on the Delta unit squares
     base = braided_duoidal(5)
     calls = []
 
@@ -112,7 +113,7 @@ def test_zeta_components_read_once_per_call():
         return base.zeta(x, *legs)
 
     assert check_duoidal(dataclasses.replace(base, zeta=counted), probe_dims=(1, 2)).ok
-    assert len(calls) <= 192
+    assert len(calls) == 72
 
 
 def test_nestings_build_no_kronecker_products(monkeypatch):

@@ -13,6 +13,7 @@ from entwine.exactalg import (
     inverse,
     kron,
     rank,
+    solve,
     swap_matrix,
 )
 from entwine.instances import instance_from_dict
@@ -464,6 +465,87 @@ def test_fundamental_theorem_precondition():
     broken = BimonoidData(a.monoid, ComonoidData(2, a.delta, FpMatrix(3, eps)))
     with pytest.raises(PreconditionError):
         verify_fundamental_theorem(broken)
+
+
+# K(F^d) = F^d (x) A is d copies of K(F^1); the driver decides the sample
+# rows of every d once, on K(F^1)
+
+def _per_d_sample_rows(a, sample_dims):
+    """The four sample rows of each d, computed on K(F^d) itself."""
+    ed = entwining_from_bimonoid(a)
+    rows = []
+    for d in sample_dims:
+        kx = comparison_K(d, a)
+        inc = coinvariants(kx, a.e)
+        w = solve(inc, kron(identity(a.p, d), a.e))
+        counit = kx.action @ kron(inc, identity(a.p, a.dim))
+        rows += [
+            (f"K(F^{d}) is a Hopf module", check_hopf_module(kx, ed).ok),
+            (f"coinvariants of K(F^{d}) have dimension {d}", inc.cols == d),
+            (
+                f"unit map of K(F^{d}) is an isomorphism onto the coinvariants",
+                w is not None and w.rows == w.cols and inverse(w) is not None,
+            ),
+            (
+                f"counit map of K(F^{d}) is an isomorphism",
+                counit.rows == counit.cols and inverse(counit) is not None,
+            ),
+        ]
+    return rows
+
+
+def _driver_sample_rows(rep):
+    return [(c.name, c.passed) for c in rep.checks if "K(F^" in c.name]
+
+
+def _same_bytes(x, y):
+    return x.p == y.p and x.a.dtype == y.a.dtype and x.shape == y.shape and x.a.tobytes() == y.a.tobytes()
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_coinvariants_of_free_hopf_modules_are_additive(bimonoid_fixture, d):
+    _, a = bimonoid_fixture
+    one = coinvariants(comparison_K(1, a), a.e)
+    assert _same_bytes(coinvariants(comparison_K(d, a), a.e), kron(identity(a.p, d), one))
+
+
+@given(random_structure_constants(), st.integers(0, 3))
+def test_coinvariants_additive_on_random_constants(a, d):
+    proved(a)
+    one = coinvariants(comparison_K(1, a), a.e)
+    assert _same_bytes(coinvariants(comparison_K(d, a), a.e), kron(identity(a.p, d), one))
+
+
+@pytest.mark.parametrize("sample_dims", [(0, 1, 2, 3, 5), (1, 1)])
+def test_driver_sample_rows_match_a_per_d_loop(hopf_fixture, sample_dims):
+    _, a = hopf_fixture
+    rep = verify_fundamental_theorem(a, sample_dims)
+    assert _driver_sample_rows(rep) == _per_d_sample_rows(a, sample_dims)
+    with pytest.raises(ShapeError, match="nonnegative"):
+        verify_fundamental_theorem(a, (1, -1))
+
+
+@given(random_structure_constants(), st.lists(st.integers(0, 3), max_size=4))
+def test_driver_sample_rows_match_a_per_d_loop_on_random_constants(a, sample_dims):
+    # most draws with an invertible beta fail some row on K(F^1)
+    rep = verify_fundamental_theorem(proved(a), sample_dims)
+    want = _per_d_sample_rows(a, sample_dims) if galois_map_beta(a).invertible else []
+    assert _driver_sample_rows(rep) == want
+
+
+def test_driver_builds_and_checks_only_k_f1(monkeypatch):
+    a = corpus_bimonoid("sweedler_f5")
+    extras = [regular_module(a)] * 2
+    built, checked = [], []
+    build, check = hopfmod.comparison_K, hopfmod.check_hopf_module
+    monkeypatch.setattr(hopfmod, "comparison_K", lambda d, b: built.append(d) or build(d, b))
+    monkeypatch.setattr(hopfmod, "check_hopf_module", lambda m, ed: checked.append(m.dim) or check(m, ed))
+    for sample_dims in ((), (0,), (1, 2, 3), (0, 1, 2, 3, 5, 1, 1), (16,)):
+        built.clear()
+        checked.clear()
+        assert verify_fundamental_theorem(a, sample_dims, extras).ok
+        assert built == [1]
+        assert len(checked) == 1 + len(extras)
 
 
 def test_memo_does_not_vouch_for_a_replaced_object():
