@@ -4,8 +4,8 @@ canonical Galois maps over prime fields."""
 from .exactalg import (
     FpMatrix,
     ShapeError,
-    apply_leg,
     cokernel_basis,
+    contract,
     identity,
     inverse,
     kernel_basis,

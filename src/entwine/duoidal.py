@@ -30,8 +30,7 @@ import numpy as np
 from .exactalg import (
     FpMatrix,
     ShapeError,
-    _contract,
-    apply_leg,
+    contract,
     identity,
     is_prime,
     kron,
@@ -149,22 +148,25 @@ def check_duoidal(ctx: DuoidalCtx, probe_dims=(1, 2)) -> Report:
                 if not _natural_in(component(*legs), legs, slot):
                     yield f"dims {legs}, slot {slot}"
 
+    def nested(spec: str, outer: FpMatrix, inner: FpMatrix) -> FpMatrix:
+        # r, c: the outer component's target, source; q, s: the inner one's;
+        # t: the outer one's legs the inner one leaves alone
+        n, k = outer.rows, inner.rows
+        return contract(spec, outer, inner, dict(r=n, c=n, q=k, s=k, t=n // k))
+
     def nesting_faults():
-        # each route is one product of two cached components, zeta(x) being
-        # component @ x; the first product's routes zeta . (C (x) I) are
-        # compared transposed, as (C^T (x) I) . zeta^T
+        # each route composes two cached components, the inner one on the
+        # first or last source (first product) or target (second) legs
         for du, dv, dw, dx, dy, dz in product(dims, repeat=6):
             at = (du, dv, dw, dx, dy, dz)
             # nesting across the first product: ((U*V)o(W*X))o(Y*Z)
-            c1, c2 = component(du, dv, dw, dx).transpose(), component(dw, dx, dy, dz).transpose()
-            route1 = apply_leg(c1, component(du * dw, dv * dx, dy, dz).transpose(), (c1.rows, dy * dz), 0)
-            route2 = apply_leg(c2, component(du, dv, dw * dy, dx * dz).transpose(), (du * dv, c2.rows), 1)
+            route1 = nested("r|qt,q|s->r|st", component(du * dw, dv * dx, dy, dz), component(du, dv, dw, dx))
+            route2 = nested("r|tq,q|s->r|ts", component(du, dv, dw * dy, dx * dz), component(dw, dx, dy, dz))
             if not route1 == route2:
                 yield f"first-product nesting at dims {at}"
             # nesting across the second product: (U*V*W)o(X*Y*Z)
-            c3, c4 = component(dv, dw, dy, dz), component(du, dv, dx, dy)
-            route3 = apply_leg(c3, component(du, dv * dw, dx, dy * dz), (du * dx, c3.rows), 1)
-            route4 = apply_leg(c4, component(du * dv, dw, dx * dy, dz), (c4.rows, dw * dz), 0)
+            route3 = nested("ts|c,q|s->tq|c", component(du, dv * dw, dx, dy * dz), component(dv, dw, dy, dz))
+            route4 = nested("st|c,q|s->qt|c", component(du * dv, dw, dx * dy, dz), component(du, dv, dx, dy))
             if not route3 == route4:
                 yield f"second-product nesting at dims {at}"
 
@@ -233,4 +235,4 @@ def galois_map_Kprime(a: BimonoidData, ctx: DuoidalCtx) -> GaloisReport:
     if ctx.tag != BRAIDED_TAG:
         raise UnsupportedError(f"unsupported duoidal context {ctx.tag!r}")
     require("bimonoid", a.axioms)
-    return canonical_map_report(_contract("ija,yjb->iy|ab", a.delta, a.m, dict.fromkeys("ijayb", a.dim)))
+    return canonical_map_report(contract("ij|a,y|jb->iy|ab", a.delta, a.m, dict.fromkeys("ijayb", a.dim)))

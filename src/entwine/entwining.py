@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import FpMatrix, ShapeError, _contract, apply_leg, identity, kron, permute_legs
+from .exactalg import FpMatrix, ShapeError, contract, identity, kron
 from .report import Report, UnsupportedError, require
 from .structures import (
     BimonoidData,
@@ -71,52 +71,50 @@ class EntwiningData:
         return self.monoid.p
 
 
+# Per side, each axiom's contractions of a structure map with lambda0 (legs
+# a, b, i, j, x, y on the monoid, c, e, f, g, h, k, z on the comonoid): the
+# side through lambda0 once and, for (co)multiplication, the two steps of
+# the side through it twice, e.g. on the right (m(x)I).(I(x)lambda0).(lambda0(x)I)
+# sums m[a, (i, j)] lambda0[(i, e), (c, x)] lambda0[(j, k), (e, y)].
+_ENTWINING_SPECS = {
+    RIGHT: (
+        ("b|xy,ak|cb->ak|cxy", "a|ij,ie|cx->acx|je", "acx|je,jk|ey->ak|cxy"),
+        "b|,ak|cb->ak|c",
+        ("gh|k,ik|ca->igh|ca", "ef|c,jh|fa->ej|hca", "ej|hca,ig|ej->igh|ca"),
+        "|k,ik|ca->i|ca",
+    ),
+    LEFT: (
+        ("b|xy,ka|bz->ka|xyz", "b|ij,ej|yz->ie|byz", "ie|byz,ki|xe->kb|xyz"),
+        "b|,ka|bz->ka|z",
+        ("gh|k,kj|bz->ghj|bz", "ef|z,hj|if->ie|hjz", "ie|hjz,gi|be->ghj|bz"),
+        "|k,kj|bz->j|bz",
+    ),
+}
+
+
 def check_entwining(ed: EntwiningData) -> Report:
     """The four mixed-distributive-law axioms for lambda0.
 
     Stated in the base convention of ed.side; assumes the monoid and comonoid
     pass their own axiom checks.
     """
-    da, dc = ed.monoid.dim, ed.comonoid.dim
-    m, e = ed.monoid.m, ed.monoid.e
-    delta, eps = ed.comonoid.delta, ed.comonoid.eps
+    da, dc, lam = ed.monoid.dim, ed.comonoid.dim, ed.lambda0
     ia, ic = identity(ed.p, da), identity(ed.p, dc)
-    lam, lt = ed.lambda0, ed.lambda0.transpose()
-    # A right multiplication X.(I(x)f(x)I) is taken as the transpose of
-    # (I(x)f^T(x)I).X^T, so no side is built larger than its identity.
+    dims = {**dict.fromkeys("abijxy", da), **dict.fromkeys("cefghkz", dc)}
+    mult, unit, comult, counit = _ENTWINING_SPECS[ed.side]
+
+    def sides(f: FpMatrix, once: str, first: str, second: str) -> tuple:
+        # twice first, so at most three arrays of the axiom's size are alive
+        twice = contract(second, contract(first, f, lam, dims), lam, dims)
+        return contract(once, f, lam, dims), twice
+
+    m, e, delta, eps = ed.monoid.m, ed.monoid.e, ed.comonoid.delta, ed.comonoid.eps
+    right = ed.side == RIGHT
     r = Report(f"entwining axioms ({ed.side} side)")
-    if ed.side == RIGHT:
-        # lambda0: C(x)A -> A(x)C
-        # (m(x)I).(I(x)lambda0).(lambda0(x)I), transposed: rows A.A.C -> A.C.A -> C.A.A
-        via_lam = apply_leg(lt, kron(m, ic).transpose(), (da, da * dc), 1)
-        via_lam = apply_leg(lt, via_lam, (da * dc, da), 0).transpose()
-        r.require_equal(
-            "multiplication", apply_leg(m.transpose(), lt, (dc, da), 1).transpose(), via_lam
-        )
-        r.require_equal(
-            "unit", apply_leg(e.transpose(), lt, (dc, da), 1).transpose(), kron(e, ic)
-        )
-        # (lambda0(x)I).(I(x)lambda0).(delta(x)I): rows C.C.A -> C.A.C -> A.C.C
-        via_lam = apply_leg(lam, kron(delta, ia), (dc, dc * da), 1)
-        via_lam = apply_leg(lam, via_lam, (dc * da, dc), 0)
-        r.require_equal("comultiplication", apply_leg(delta, lam, (da, dc), 1), via_lam)
-        r.require_equal("counit", apply_leg(eps, lam, (da, dc), 1), kron(eps, ia))
-    else:
-        # lambda0: B(x)Z -> Z(x)B
-        # (I(x)m).(lambda0(x)I).(I(x)lambda0), transposed: rows Z.B.B -> B.Z.B -> B.B.Z
-        via_lam = apply_leg(lt, kron(ic, m).transpose(), (dc * da, da), 0)
-        via_lam = apply_leg(lt, via_lam, (da, dc * da), 1).transpose()
-        r.require_equal(
-            "multiplication", apply_leg(m.transpose(), lt, (da, dc), 0).transpose(), via_lam
-        )
-        r.require_equal(
-            "unit", apply_leg(e.transpose(), lt, (da, dc), 0).transpose(), kron(ic, e)
-        )
-        # (I(x)lambda0).(lambda0(x)I).(I(x)delta): rows B.Z.Z -> Z.B.Z -> Z.Z.B
-        via_lam = apply_leg(lam, kron(ia, delta), (da * dc, dc), 0)
-        via_lam = apply_leg(lam, via_lam, (dc, da * dc), 1)
-        r.require_equal("comultiplication", apply_leg(delta, lam, (dc, da), 0), via_lam)
-        r.require_equal("counit", apply_leg(eps, lam, (dc, da), 0), kron(ia, eps))
+    r.require_equal("multiplication", *sides(m, *mult))
+    r.require_equal("unit", contract(unit, e, lam, dims), kron(e, ic) if right else kron(ic, e))
+    r.require_equal("comultiplication", *sides(delta, *comult))
+    r.require_equal("counit", contract(counit, eps, lam, dims), kron(eps, ia) if right else kron(ia, eps))
     return r
 
 
@@ -127,7 +125,7 @@ def entwining_from_bimonoid(a: BimonoidData) -> EntwiningData:
     Precondition: ``a`` passes check_bialgebra.
     """
     require("bimonoid", a.axioms)
-    lam = _contract("ija,zcj->iz|ca", a.delta, a.m, dict.fromkeys("ijazc", a.dim))
+    lam = contract("ij|a,z|cj->iz|ca", a.delta, a.m, dict.fromkeys("ijazc", a.dim))
     return EntwiningData(a.monoid, a.comonoid, lam, RIGHT)
 
 
@@ -143,9 +141,9 @@ def entwining_from_comodule_monad(
     """
     require("comodule algebra", b.axioms)
     z = module_comonoid_of_coalgebra(b.over, c)  # requires a and c
-    da, db, dz = b.over.dim, b.algebra.dim, z.dim
-    a_b_z = kron(b.rho, identity(b.over.p, dz))
-    lam = apply_leg(z.sigma, permute_legs(a_b_z, (da, db, dz), (0, 2, 1)), (da * dz, db), 0)
+    # lambda0[(w, k), (b, z)] = sum sigma[w, (a, z)] rho[(a, k), b]
+    dims = dict(w=z.dim, z=z.dim, a=b.over.dim, k=b.algebra.dim, b=b.algebra.dim)
+    lam = contract("w|az,ak|b->wk|bz", z.sigma, b.rho, dims)
     return EntwiningData(b.algebra, z.comonoid, lam, LEFT)
 
 
@@ -160,11 +158,10 @@ def lift_comonad(ed: EntwiningData, x: ModuleData) -> ModuleData:
     if x.side != "right":
         raise UnsupportedError("lift_comonad lifts right modules")
     require("module", check_module(x, ed.monoid))
-    da, dc = ed.monoid.dim, ed.comonoid.dim
-    # (h(x)I_C).(I_X(x)lambda0), as the transpose of (I_X(x)lambda0^T).(h(x)I_C)^T
-    h_c = kron(x.action, identity(ed.p, dc)).transpose()
-    lifted = apply_leg(ed.lambda0.transpose(), h_c, (x.dim, da * dc), 1).transpose()
-    return ModuleData(x.dim * dc, lifted, "right")
+    dc = ed.comonoid.dim
+    # (h(x)I_C).(I_X(x)lambda0) at ((u, k), (x, c, b)) sums h[u, (x, a)] lambda0[(a, k), (c, b)]
+    dims = dict(u=x.dim, x=x.dim, a=ed.monoid.dim, b=ed.monoid.dim, k=dc, c=dc)
+    return ModuleData(x.dim * dc, contract("u|xa,ak|cb->uk|xcb", x.action, ed.lambda0, dims), "right")
 
 
 def lift_report(ed: EntwiningData, x: ModuleData) -> Report:
@@ -173,23 +170,19 @@ def lift_report(ed: EntwiningData, x: ModuleData) -> Report:
     lifted = lift_comonad(ed, x)
     r = Report("lifted module")
     r.merge(check_module(lifted, ed.monoid), prefix="lifted ")
-    dc, da = ed.comonoid.dim, ed.monoid.dim
-    ix = identity(ed.p, x.dim)
-    # h'.(f(x)I_A) for the leg map f, as the transpose of (f^T(x)I_A).h'^T
-    counit_leg = kron(ix, ed.comonoid.eps)
+    eps, delta = ed.comonoid.eps, ed.comonoid.delta
+    dims = dict(u=x.dim, x=x.dim, b=ed.monoid.dim, **dict.fromkeys("cefghk", ed.comonoid.dim))
+    # (I_X(x)f).h' = h''.(I_X(x)f(x)I_A) for f the counit, then the comultiplication
     r.require_equal(
         "counit leg is a module morphism",
-        apply_leg(ed.comonoid.eps, lifted.action, (x.dim, dc), 1),
-        apply_leg(counit_leg.transpose(), x.action.transpose(), (x.dim, da), 0).transpose(),
+        contract("|k,uk|xcb->u|xcb", eps, lifted.action, dims),
+        contract("u|xb,|c->u|xcb", x.action, eps, dims),
     )
     twice = lift_comonad(ed, lifted)
-    comult_leg = kron(ix, ed.comonoid.delta)
     r.require_equal(
         "comultiplication leg is a module morphism",
-        apply_leg(ed.comonoid.delta, lifted.action, (x.dim, dc), 1),
-        apply_leg(
-            comult_leg.transpose(), twice.action.transpose(), (x.dim * dc * dc, da), 0
-        ).transpose(),
+        contract("gh|k,uk|xcb->ugh|xcb", delta, lifted.action, dims),
+        contract("ugh|xefb,ef|c->ugh|xcb", twice.action, delta, dims),
     )
     return r
 
@@ -203,10 +196,7 @@ def rebuild_base_map(ed: EntwiningData) -> FpMatrix:
     """
     if ed.side != RIGHT:
         raise UnsupportedError("rebuild_base_map expects a right-side entwining")
-    da, dc = ed.monoid.dim, ed.comonoid.dim
     lifted = lift_comonad(ed, regular_right_module(ed.monoid))
-    insert_unit = kron(ed.monoid.e, identity(ed.p, dc))
-    # lifted.(insert_unit(x)I_A), as the transpose of (insert_unit^T(x)I_A).lifted^T
-    return apply_leg(
-        insert_unit.transpose(), lifted.action.transpose(), (da * dc, da), 0
-    ).transpose()
+    # lifted.(e(x)I_C(x)I_A) at ((u, k), (c, b)) sums lifted[(u, k), (x, c, b)] e[x]
+    dims = dict(u=ed.monoid.dim, x=ed.monoid.dim, b=ed.monoid.dim, k=ed.comonoid.dim, c=ed.comonoid.dim)
+    return contract("uk|xcb,x|->uk|cb", lifted.action, ed.monoid.e, dims)

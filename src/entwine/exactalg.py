@@ -7,10 +7,12 @@ The conventions are fixed once, here, for everything downstream:
 * matrices act on column vectors, so ``g @ f`` means "apply f first";
 * tensor legs flatten row-major: basis vector ``(i, j)`` of ``V (x) W`` sits at
   index ``i * dim(W) + j``, and :func:`kron` follows the same rule;
-* leg shuffles and maps on one tensor leg are applied by :func:`permute_legs`
-  (a row gather) and :func:`apply_leg` (a contraction over one leg), never by
-  multiplying with a dense permutation matrix or an identity-padded
-  Kronecker product, which would be far larger than either operand;
+* maps are composed along tensor legs by :func:`contract`, one exact product
+  of two maps regrouped by their legs, whether the composite acts on the
+  rows or on the columns; leg shuffles are applied by :func:`permute_legs`,
+  a row gather.  Neither ever multiplies by a dense permutation matrix or an
+  identity-padded Kronecker product, which would be far larger than either
+  operand, and :func:`kron` only builds data;
 * row reduction is deterministic (first nonzero pivot, rows scanned
   top-down), so kernels, inverses and quotient projections are reproducible
   byte for byte.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -34,7 +37,7 @@ __all__ = [
     "zeros",
     "kron",
     "permute_legs",
-    "apply_leg",
+    "contract",
     "swap_matrix",
     "rref",
     "rank",
@@ -211,40 +214,85 @@ class FpMatrix:
         return f"FpMatrix(p={self.p}, {self.a.tolist()!r})"
 
 
+def _exact_dtype(p: int, k: int):
+    """The dtype in which sums of k products of entries below p are exact:
+    float64 (BLAS) up to k*(p-1)^2 < 2^53, int64 below 2^63, else object."""
+    bound = k * (p - 1) ** 2
+    return np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+
+
+def _residues(p: int, out: np.ndarray, regroup: Optional[tuple] = None) -> np.ndarray:
+    """A product's sums as int64 residues mod p, regrouped on the way: cast,
+    then reduced in place (object sums fit int64 only once reduced)."""
+    if out.dtype == object:
+        out = out % p
+    out = out.astype(np.int64, copy=False) if regroup is None else _as_factor(out, regroup, np.int64)
+    return np.remainder(out, p, out=out)
+
+
 def _product(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact ``a @ b mod p`` for reduced int64 arrays, a of shape (r, k) and
-    b of shape (k, n) or a stack (s, k, n) of such.
-
-    Every dot product is bounded by k*(p-1)^2.  Below 2^53 the float64 path
-    is exact and uses BLAS; below 2^63 the int64 path is exact; otherwise
-    fall back to arbitrary precision, reduced before the int64 conversion.
-    """
-    bound = a.shape[1] * (p - 1) ** 2
-    if bound < 2**53:
-        out = np.matmul(a.astype(np.float64), b.astype(np.float64))
-        np.fmod(out, p, out=out)
-        return out.astype(np.int64)
-    if bound < 2**63:
-        return np.matmul(a, b) % p
-    return (np.matmul(a.astype(object), b.astype(object)) % p).astype(np.int64)
+    """Exact ``a @ b mod p`` for reduced int64 arrays of shapes (r, k), (k, n)."""
+    dt = _exact_dtype(p, a.shape[1])
+    return _residues(p, np.matmul(a.astype(dt, copy=False), b.astype(dt, copy=False)))
 
 
-def _contract(spec: str, x: FpMatrix, y: FpMatrix, dims: dict) -> FpMatrix:
-    """Two maps contracted over shared legs, as for np.einsum: in ``"uxi,ija->uj|xa"``
-    each letter names a leg, of dimension ``dims[letter]``, of x, of y (row legs,
-    then column legs) or of the result (row legs before ``|``, column legs
-    after).  The legs x and y share are summed over by one exact _product."""
-    x._match(y)
-    (xs, ys), (rows, cols) = spec.split("->")[0].split(","), spec.split("->")[1].split("|")
+@lru_cache(maxsize=None)
+def _parse(spec: str) -> tuple:
+    """The (row, column) legs of x, y and the result; the (2+) legs of x and y and their getter."""
+    groups = tuple(tuple(g.split("|")) for g in spec.replace("->", ",").split(","))
+    letters = "".join(dict.fromkeys("".join(groups[0] + groups[1])))
+    return groups, letters, itemgetter(*letters)
+
+
+def _regroup(dim: dict, legs: str, first: str, second: str) -> tuple:
+    """The matrix shape, row legs first and column legs second, of an array
+    on legs, and the reshape and axis order taking it there (None if none)."""
+    shape = (prod(dim[c] for c in first), prod(dim[c] for c in second))
+    axes = tuple(legs.index(c) for c in first + second)
+    return shape, None if axes == tuple(range(len(legs))) else (tuple(dim[c] for c in legs), axes)
+
+
+@lru_cache(maxsize=1024)
+def _plan(spec: str, p: int, sizes: tuple) -> tuple:
+    """Per spec, p and leg dimensions: each operand's shape and regrouping
+    as a matrix factor, the exact dtype, and the product's regrouping."""
+    ((xr, xc), (yr, yc), (outr, outc)), letters, _ = _parse(spec)
+    dim = dict(zip(letters, sizes))
+    xs, ys = xr + xc, yr + yc
     summed = "".join(c for c in xs if c in ys)
-    xf, yf = "".join(c for c in xs if c not in summed), "".join(c for c in ys if c not in summed)
+    xf, yf = ("".join(c for c in legs if c not in summed) for legs in (xs, ys))
+    return (
+        _regroup(dim, xs, xr, xc)[0], _regroup(dim, xs, xf, summed),
+        _regroup(dim, ys, yr, yc)[0], _regroup(dim, ys, summed, yf),
+        _exact_dtype(p, prod(dim[c] for c in summed)), _regroup(dim, xf + yf, outr, outc),
+    )
 
-    def regroup(a: np.ndarray, legs: str, first: str, second: str) -> np.ndarray:
-        t = a.reshape([dims[c] for c in legs]).transpose([legs.index(c) for c in first + second])
-        return t.reshape(prod(dims[c] for c in first), prod(dims[c] for c in second))
 
-    t = _product(x.p, regroup(x.a, xs, xf, summed), regroup(y.a, ys, summed, yf))
-    return FpMatrix._reduced(x.p, regroup(t, xf + yf, rows, cols))
+def _as_factor(a: np.ndarray, regroup: tuple, dtype) -> np.ndarray:
+    """``a`` regrouped as a C-ordered matrix of ``dtype``, in at most one copy."""
+    shape, reorder = regroup
+    if reorder is not None:
+        a = a.reshape(reorder[0]).transpose(reorder[1])
+    return a.astype(dtype, order="C", copy=False).reshape(shape)
+
+
+def contract(spec: str, x: FpMatrix, y: FpMatrix, dims) -> FpMatrix:
+    """Two maps composed along tensor legs by one exact product.
+
+    In ``"u|xi,ij|a->uj|xa"`` each letter is a tensor leg of dimension
+    ``dims[letter]``; the groups are the row legs and column legs (split by
+    ``|``, flattened row-major) of x, of y and of the result.  Legs of both
+    x and y are summed over; every other leg appears once in the result.
+    A right multiplication g.(I (x) f) is ``"u|ai,i|b->u|ab"`` on (g, f).
+    Operand shapes must match their splits (else ShapeError); each (spec,
+    leg dimensions) pair is parsed once per process.
+    """
+    x._match(y)
+    xshape, xg, yshape, yg, dt, outg = _plan(spec, x.p, _parse(spec)[2](dims))
+    if x.shape != xshape or y.shape != yshape:
+        raise ShapeError(f"{spec!r} at legs {dims} takes {xshape} and {yshape}, not {x.shape} and {y.shape}")
+    out = np.matmul(_as_factor(x.a, xg, dt), _as_factor(y.a, yg, dt))
+    return FpMatrix._reduced(x.p, _residues(x.p, out, outg))
 
 
 def identity(p: int, n: int) -> FpMatrix:
@@ -268,11 +316,6 @@ def kron(m: FpMatrix, n: FpMatrix) -> FpMatrix:
     return FpMatrix._reduced(m.p, out)
 
 
-def _check_legs(mat: FpMatrix, dims) -> None:
-    if prod(dims) != mat.rows:
-        raise ShapeError(f"leg dims {tuple(dims)} do not factor {mat.rows} rows")
-
-
 def permute_legs(mat: FpMatrix, dims, perm) -> FpMatrix:
     """``P @ mat`` for the leg permutation P: V_0 (x) ... (x) V_{k-1} ->
     V_perm[0] (x) ... (x) V_perm[k-1], as a row gather.
@@ -280,37 +323,14 @@ def permute_legs(mat: FpMatrix, dims, perm) -> FpMatrix:
     The rows of ``mat`` index the tensor product with leg dimensions
     ``dims``; leg ``perm[i]`` of the source becomes leg ``i`` of the result.
     The transposition V1 (x) V2 -> V2 (x) V1 is ``perm = (1, 0)``, and
-    ``swap_matrix`` is its dense form.  Right multiplication by P is the
-    transpose: ``mat @ P == permute_legs(mat.transpose(), dims', inv).transpose()``
-    with ``dims'`` the permuted dims and ``inv`` the inverse permutation.
+    ``swap_matrix`` is its dense form.
     """
-    _check_legs(mat, dims)
+    if prod(dims) != mat.rows:
+        raise ShapeError(f"leg dims {tuple(dims)} do not factor {mat.rows} rows")
     if sorted(perm) != list(range(len(dims))):
         raise ShapeError(f"{tuple(perm)} is not a permutation of {len(dims)} legs")
     idx = np.arange(mat.rows).reshape(dims).transpose(perm).reshape(-1)
     return FpMatrix._reduced(mat.p, mat.a[idx])
-
-
-def apply_leg(f: FpMatrix, mat: FpMatrix, dims, leg: int) -> FpMatrix:
-    """``(I (x) f (x) I) @ mat`` with f acting on tensor leg ``leg`` alone.
-
-    The rows of ``mat`` index the tensor product with leg dimensions
-    ``dims`` and ``dims[leg] == f.cols``; the result's rows index the same
-    product with that leg replaced by the target of f.  Adjacent legs act as
-    one when their dimensions are multiplied together in ``dims``.  The
-    identity-padded Kronecker product is never built: the rows are reshaped
-    to (before, leg, after) and f is contracted with the middle axis.
-    Right multiplication is the transpose:
-    ``mat @ (I (x) f (x) I) == apply_leg(f.transpose(), mat.transpose(), dims, leg).transpose()``
-    with ``dims`` the legs of mat's columns.
-    """
-    f._match(mat)
-    _check_legs(mat, dims)
-    if dims[leg] != f.cols:
-        raise ShapeError(f"leg {leg} has dim {dims[leg]}, map expects {f.cols}")
-    before, after = prod(dims[:leg]), prod(dims[leg + 1:])
-    out = _product(f.p, f.a, mat.a.reshape(before, f.cols, after * mat.cols))
-    return FpMatrix._reduced(f.p, out.reshape(before * f.rows * after, mat.cols))
 
 
 def swap_matrix(p: int, d1: int, d2: int) -> FpMatrix:

@@ -26,9 +26,8 @@ import numpy as np
 from .exactalg import (
     FpMatrix,
     ShapeError,
-    _contract,
     _product,
-    apply_leg,
+    contract,
     identity,
     inverse,
     kernel_basis,
@@ -123,8 +122,8 @@ def check_hopf_module(m: HopfModuleData, ed: EntwiningData) -> Report:
     r.merge(check_right_comodule(dx, m.coaction, ed.comonoid))
     # h[x', (x1, a')], theta[(x1, c), x], lambda0[(a', c'), (c, a)]
     dims = dict(u=dx, k=dx, x=dx, a=da, b=da, c=dc, d=dc)
-    h_theta = _contract("uka,kcx->ux|ac", m.action, m.coaction, dims)
-    rhs = _contract("uxac,adcb->ud|xb", h_theta, ed.lambda0, dims)
+    h_theta = contract("u|ka,kc|x->ux|ac", m.action, m.coaction, dims)
+    rhs = contract("ux|ac,ad|cb->ud|xb", h_theta, ed.lambda0, dims)
     r.require_equal("compatibility pentagon", m.coaction @ m.action, rhs)
     return r
 
@@ -163,10 +162,11 @@ def coinvariants(m: HopfModuleData, unit: FpMatrix) -> FpMatrix:
 
 def _antipode_checks(a: BimonoidData, s: FpMatrix) -> Report:
     r = Report("antipode axioms")
-    legs = (a.dim, a.dim)
+    dims = dict.fromkeys("yijk", a.dim)
     target = a.e @ a.eps
-    r.require_equal("left antipode axiom", a.m @ apply_leg(s, a.delta, legs, 0), target)
-    r.require_equal("right antipode axiom", a.m @ apply_leg(s, a.delta, legs, 1), target)
+    # m.(S(x)I) and m.(I(x)S), then delta
+    r.require_equal("left antipode axiom", contract("y|ij,i|k->y|kj", a.m, s, dims) @ a.delta, target)
+    r.require_equal("right antipode axiom", contract("y|ij,j|k->y|ik", a.m, s, dims) @ a.delta, target)
     return r
 
 
@@ -203,15 +203,13 @@ def galois_map_beta(a: BimonoidData, want_antipode: bool = True) -> GaloisReport
     formula is standard Hopf-theory plumbing, flagged as such in reports.)
     """
     require("bimonoid", a.axioms)
-    d = a.dim
-    g = canonical_map_report(_contract("uxi,ija->uj|xa", a.m, a.delta, dict.fromkeys("uxija", d)))
+    dims = dict.fromkeys("uxija", a.dim)
+    g = canonical_map_report(contract("u|xi,ij|a->uj|xa", a.m, a.delta, dims))
     if not g.invertible:
         return replace(g, note="not Galois: no antipode")
     if not want_antipode:
         return g
-    # (I(x)eps).beta^{-1}.(e(x)I); the right factor as a transpose
-    after_unit = apply_leg(a.e.transpose(), g.inverse.transpose(), (d, d), 0).transpose()
-    antipode = apply_leg(a.eps, after_unit, (d, d), 1)
+    antipode = contract("|j,ij|a->i|a", a.eps, contract("ij|xa,x|->ij|a", g.inverse, a.e, dims), dims)
     return replace(g, antipode=antipode, antipode_ok=_antipode_checks(a, antipode).ok)
 
 
@@ -228,7 +226,7 @@ def galois_map_generalized(b: ComoduleAlgebraData, c: ComonoidData) -> GaloisRep
     require("comodule algebra", b.axioms)
     da, db, dc = b.over.dim, b.algebra.dim, c.dim
     # t[(a, y), (b, b')] = sum rho[(a, b0), b] m_B[y, b0, b']; the C leg passes as delta_{c', c}
-    t = _contract("akb,ykv->ay|bv", b.rho, b.algebra.m, dict(a=da, k=db, b=db, y=db, v=db))
+    t = contract("ak|b,y|kv->ay|bv", b.rho, b.algebra.m, dict(a=da, k=db, b=db, y=db, v=db))
     can = t.a.reshape(da, 1, db, db, 1, db) * np.eye(dc, dtype=np.int64).reshape(1, dc, 1, 1, dc, 1)
     return canonical_map_report(FpMatrix._reduced(c.p, can.reshape(da * dc * db, db * dc * db)))
 
@@ -316,9 +314,8 @@ def _find_non_equivalence_witness(
 # ---------------------------------------------------------------------------
 
 def _counit_map(m: HopfModuleData, inc: FpMatrix, da: int) -> FpMatrix:
-    """M^co (x) A -> M, x(x)a |-> x.a: the action after inc(x)I_A, taken
-    as the transpose of (inc^T(x)I_A).h^T."""
-    return apply_leg(inc.transpose(), m.action.transpose(), (m.dim, da), 0).transpose()
+    """M^co (x) A -> M, x(x)a |-> x.a: the action after inc(x)I_A."""
+    return contract("u|xa,x|j->u|ja", m.action, inc, dict(u=m.dim, x=m.dim, a=da, j=inc.cols))
 
 
 def _is_iso(m: Optional[FpMatrix]) -> bool:

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .exactalg import (
-    FpMatrix,
-    ShapeError,
-    _contract,
-    apply_leg,
-    identity,
-    kron,
-    permute_legs,
-)
+from .exactalg import FpMatrix, ShapeError, contract, identity, kron, permute_legs
 from .report import Report, UnsupportedError, require
 
 __all__ = [
@@ -223,32 +215,29 @@ class ModuleComonoidData:
 def check_monoid(a: MonoidData) -> Report:
     """Associativity and the two unit identities, as matrix equalities."""
     r = Report("monoid axioms")
-    i = identity(a.p, a.dim)
-    legs = (a.dim, a.dim)
-    # m.(m(x)I) and m.(e(x)I) multiply m on the right by a map on one leg;
-    # each is taken as the transpose of (m^T on that leg).m^T
-    mt, et = a.m.transpose(), a.e.transpose()
+    m, e, dims = a.m, a.e, dict.fromkeys("xiabc", a.dim)
     r.require_equal(
         "associativity",
-        apply_leg(mt, mt, legs, 0).transpose(),
-        apply_leg(mt, mt, legs, 1).transpose(),
+        contract("x|ic,i|ab->x|abc", m, m, dims),
+        contract("x|ai,i|bc->x|abc", m, m, dims),
     )
-    r.require_equal("left unit", apply_leg(et, mt, legs, 0).transpose(), i)
-    r.require_equal("right unit", apply_leg(et, mt, legs, 1).transpose(), i)
+    i = identity(a.p, a.dim)
+    r.require_equal("left unit", contract("x|ib,i|->x|b", m, e, dims), i)
+    r.require_equal("right unit", contract("x|ai,i|->x|a", m, e, dims), i)
     return r
 
 
 def check_comonoid(c: ComonoidData) -> Report:
     r = Report("comonoid axioms")
-    i = identity(c.p, c.dim)
-    legs = (c.dim, c.dim)
+    delta, eps, dims = c.delta, c.eps, dict.fromkeys("xiabc", c.dim)
     r.require_equal(
         "coassociativity",
-        apply_leg(c.delta, c.delta, legs, 0),
-        apply_leg(c.delta, c.delta, legs, 1),
+        contract("ab|i,ic|x->abc|x", delta, delta, dims),
+        contract("bc|i,ai|x->abc|x", delta, delta, dims),
     )
-    r.require_equal("left counit", apply_leg(c.eps, c.delta, legs, 0), i)
-    r.require_equal("right counit", apply_leg(c.eps, c.delta, legs, 1), i)
+    i = identity(c.p, c.dim)
+    r.require_equal("left counit", contract("|i,ib|x->b|x", eps, delta, dims), i)
+    r.require_equal("right counit", contract("|i,ai|x->a|x", eps, delta, dims), i)
     return r
 
 
@@ -266,9 +255,9 @@ def _law_one_rhs(rho: FpMatrix, m_a: FpMatrix, m_b: FpMatrix) -> FpMatrix:
     most dA^2*dB^2 or dA*dB^3 entries: d^4 for a bimonoid, which is its own
     regular comodule algebra (rho = delta, m_A = m_B = m)."""
     dims = {**dict.fromkeys("xij", m_a.rows), **dict.fromkeys("yklbc", m_b.rows)}
-    t1 = _contract("xij,ikb->xb|jk", m_a, rho, dims)
-    t2 = _contract("ykl,jlc->jk|yc", m_b, rho, dims)
-    return _contract("xbjk,jkyc->xy|bc", t1, t2, dims)
+    t1 = contract("x|ij,ik|b->xb|jk", m_a, rho, dims)
+    t2 = contract("y|kl,jl|c->jk|yc", m_b, rho, dims)
+    return contract("xb|jk,jk|yc->xy|bc", t1, t2, dims)
 
 
 def _bimonoid_diagrams(r: Report, a: BimonoidData, mu, Delta, tau) -> None:
@@ -297,55 +286,53 @@ def check_bialgebra(a: BimonoidData) -> Report:
     return r
 
 
+# h.(h(x)I) = h.(I(x)m) and h.(I(x)e) = I for a right action h[u, (x, a)],
+# mirrored for a left action h[u, (a, x)]
+_MODULE_SPECS = {
+    "right": ("u|kb,k|xa->u|xab", "u|xc,c|ab->u|xab", "u|xc,c|->u|x"),
+    "left": ("u|ak,k|bx->u|abx", "u|cx,c|ab->u|abx", "u|cx,c|->u|x"),
+}
+
+
 def check_module(x: ModuleData, a: MonoidData) -> Report:
     r = Report(f"{x.side} module axioms")
     h = x.action
-    if x.side == "right":
-        _expect(h, (x.dim, x.dim * a.dim), "right action")
-        legs, x_leg, a_leg = (x.dim, a.dim), 0, 1
-    else:
-        _expect(h, (x.dim, a.dim * x.dim), "left action")
-        legs, x_leg, a_leg = (a.dim, x.dim), 1, 0
-    # h.(h(x)I) = h.(I(x)m) and h.(I(x)e) = I (right side; mirrored on the
-    # left), each taken as the transpose of (one-leg map^T).h^T
-    ht = h.transpose()
+    _expect(h, (x.dim, x.dim * a.dim), f"{x.side} action")
+    by_action, by_m, by_e = _MODULE_SPECS[x.side]
+    dims = {**dict.fromkeys("ukx", x.dim), **dict.fromkeys("abc", a.dim)}
     r.require_equal(
-        "action associativity",
-        apply_leg(ht, ht, legs, x_leg).transpose(),
-        apply_leg(a.m.transpose(), ht, legs, a_leg).transpose(),
+        "action associativity", contract(by_action, h, h, dims), contract(by_m, h, a.m, dims)
     )
-    r.require_equal(
-        "action unit",
-        apply_leg(a.e.transpose(), ht, legs, a_leg).transpose(),
-        identity(a.p, x.dim),
-    )
+    r.require_equal("action unit", contract(by_e, h, a.e, dims), identity(a.p, x.dim))
+    return r
+
+
+# (theta(x)I).theta = (I(x)delta).theta and (I(x)eps).theta = I for a right
+# coaction theta[(x, c), u]; for a left coaction rho[(c, x), u], (delta(x)I).rho
+# = (I(x)rho).rho and (eps(x)I).rho = I, the sides in the opposite order
+_COMODULE_SPECS = {
+    "right": ("xc|k,kd|u->xcd|u", "cd|e,xe|u->xcd|u", "|e,xe|u->x|u"),
+    "left": ("dx|k,ck|u->cdx|u", "cd|e,ex|u->cdx|u", "|e,ex|u->x|u"),
+}
+
+
+def _check_comodule(side: str, dim: int, coaction: FpMatrix, c: ComonoidData) -> Report:
+    r = Report(f"{side} comodule axioms")
+    _expect(coaction, (dim * c.dim, dim), f"{side} coaction")
+    by_coaction, by_delta, by_eps = _COMODULE_SPECS[side]
+    dims = {**dict.fromkeys("xku", dim), **dict.fromkeys("cde", c.dim)}
+    sides = contract(by_coaction, coaction, coaction, dims), contract(by_delta, c.delta, coaction, dims)
+    r.require_equal("coaction coassociativity", *(sides if side == "right" else sides[::-1]))
+    r.require_equal("coaction counit", contract(by_eps, c.eps, coaction, dims), identity(c.p, dim))
     return r
 
 
 def check_right_comodule(dim: int, theta: FpMatrix, c: ComonoidData) -> Report:
-    r = Report("right comodule axioms")
-    _expect(theta, (dim * c.dim, dim), "right coaction")
-    legs = (dim, c.dim)
-    r.require_equal(
-        "coaction coassociativity",
-        apply_leg(theta, theta, legs, 0),
-        apply_leg(c.delta, theta, legs, 1),
-    )
-    r.require_equal("coaction counit", apply_leg(c.eps, theta, legs, 1), identity(c.p, dim))
-    return r
+    return _check_comodule("right", dim, theta, c)
 
 
 def check_left_comodule(dim: int, rho: FpMatrix, c: ComonoidData) -> Report:
-    r = Report("left comodule axioms")
-    _expect(rho, (c.dim * dim, dim), "left coaction")
-    legs = (c.dim, dim)
-    r.require_equal(
-        "coaction coassociativity",
-        apply_leg(c.delta, rho, legs, 0),
-        apply_leg(rho, rho, legs, 1),
-    )
-    r.require_equal("coaction counit", apply_leg(c.eps, rho, legs, 0), identity(c.p, dim))
-    return r
+    return _check_comodule("left", dim, rho, c)
 
 
 def check_comodule_algebra(b: ComoduleAlgebraData) -> Report:
@@ -392,12 +379,15 @@ def check_module_comonoid(z: ModuleComonoidData, a: BimonoidData) -> Report:
         raise ShapeError(f"sigma acts for a monad of dim {z.monad_dim}, bimonoid has dim {da}")
     r.merge(check_module(ModuleData(dz, z.sigma, "left"), a.monoid))
     r.merge(check_comonoid(z.comonoid), prefix="comonoid ")
-    # (sigma(x)sigma).colax.(I(x)deltaZ), sigma applied one A(x)Z leg at a time
-    az_az = _middle_transposition(kron(a.delta, z.deltaZ), da, da, dz, dz)
+    # (sigma(x)sigma).colax.(I(x)deltaZ) at ((w, v), (a, z)) sums sigma[w, (i, k)]
+    # sigma[v, (j, l)] delta[(i, j), a] deltaZ[(k, l), z], each sigma with one delta
+    dims = {**dict.fromkeys("wvklz", dz), **dict.fromkeys("ija", da)}
+    t1 = contract("w|ik,ij|a->wa|jk", z.sigma, a.delta, dims)
+    t2 = contract("v|jl,kl|z->jk|vz", z.sigma, z.deltaZ, dims)
     r.require_equal(
         "comultiplication is a module morphism",
         z.deltaZ @ z.sigma,
-        apply_leg(z.sigma, apply_leg(z.sigma, az_az, (da * dz, da * dz), 0), (dz, da * dz), 1),
+        contract("wa|jk,jk|vz->wv|az", t1, t2, dims),
     )
     r.require_equal("counit is a module morphism", z.epsZ @ z.sigma, kron(a.eps, z.epsZ))
     return r

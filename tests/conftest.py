@@ -7,10 +7,11 @@ from hypothesis import settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from entwine.exactalg import FpMatrix
-from entwine.instances import fixture_path, load_instance
+from entwine.entwining import EntwiningData
+from entwine.exactalg import FpMatrix, swap_matrix
+from entwine.instances import build_instance, fixture_path, load_instance
 from entwine.report import Report
-from entwine.structures import BimonoidData, ComonoidData, ComoduleAlgebraData, MonoidData
+from entwine.structures import BimonoidData, ComonoidData, ComoduleAlgebraData, ModuleData, MonoidData
 
 # Property sweeps draw the same examples on every run and write no example
 # database, so a failure reproduces from the test name alone.
@@ -98,15 +99,19 @@ def random_structure_constants(draw, primes=SMALL_PRIMES) -> BimonoidData:
     return bimonoid_from_constants(p, d, entries(d, d * d), entries(d, 1), entries(d * d, d), entries(1, d))
 
 
+def mutate_one(draw, maps: dict, p: int) -> dict:
+    """maps with one entry of one drawn map changed by a nonzero amount."""
+    maps = {k: np.array(v) for k, v in maps.items()}
+    changed = maps[draw(st.sampled_from(sorted(maps)))]
+    k = draw(st.integers(0, changed.size - 1))
+    changed.flat[k] = (changed.flat[k] + draw(st.integers(1, p - 1))) % p
+    return maps
+
+
 @st.composite
 def mutated_fixtures(draw) -> BimonoidData:
     a = corpus_bimonoid(draw(st.sampled_from(BIMONOID_FIXTURES)))
-    maps = {"m": a.m.a, "e": a.e.a, "delta": a.delta.a, "eps": a.eps.a}
-    name = draw(st.sampled_from(sorted(maps)))
-    changed = np.array(maps[name])
-    k = draw(st.integers(0, changed.size - 1))
-    changed.flat[k] = (changed.flat[k] + draw(st.integers(1, a.p - 1))) % a.p
-    maps[name] = changed
+    maps = mutate_one(draw, {"m": a.m.a, "e": a.e.a, "delta": a.delta.a, "eps": a.eps.a}, a.p)
     return bimonoid_from_constants(a.p, a.dim, maps["m"], maps["e"], maps["delta"], maps["eps"])
 
 
@@ -126,13 +131,82 @@ def mutated_comodule_fixtures(draw) -> ComoduleAlgebraData:
     )
     a = b.over
     maps = {"m": a.m, "e": a.e, "delta": a.delta, "eps": a.eps, "mB": b.algebra.m, "eB": b.algebra.e, "rho": b.rho}
-    maps = {k: np.array(v.a) for k, v in maps.items()}
-    changed = maps[draw(st.sampled_from(sorted(maps)))]
-    k = draw(st.integers(0, changed.size - 1))
-    changed.flat[k] = (changed.flat[k] + draw(st.integers(1, a.p - 1))) % a.p
+    maps = mutate_one(draw, {k: v.a for k, v in maps.items()}, a.p)
     over = bimonoid_from_constants(a.p, a.dim, maps["m"], maps["e"], maps["delta"], maps["eps"])
     algebra = MonoidData(b.algebra.dim, FpMatrix(a.p, maps["mB"]), FpMatrix(a.p, maps["eB"]))
     return ComoduleAlgebraData(algebra, over, FpMatrix(a.p, maps["rho"]))
+
+
+SIDES = ("right", "left")
+
+
+@st.composite
+def random_modules(draw, primes=SMALL_PRIMES) -> tuple:
+    """(x, a): a monoid of any constants and a right or left action of it on
+    a space of dim 1-3, of any constants."""
+    a = draw(random_structure_constants(primes)).monoid
+    dx = draw(st.integers(1, 3))
+    action = FpMatrix(a.p, draw_entries(draw, a.p, dx, dx * a.dim))
+    return ModuleData(dx, action, draw(st.sampled_from(SIDES))), a
+
+
+@st.composite
+def mutated_modules(draw) -> tuple:
+    """(x, a): a corpus monoid acting on the free module of rank 1 or 2 (on
+    the side drawn), with one entry of the action, m or e changed."""
+    a = corpus_bimonoid(draw(st.sampled_from(BIMONOID_FIXTURES))).monoid
+    side, rank = draw(st.sampled_from(SIDES)), draw(st.integers(1, 2))
+    eye = np.eye(rank, dtype=np.int64)
+    action = np.kron(eye, a.m.a) if side == "right" else np.kron(a.m.a, eye)
+    maps = mutate_one(draw, {"action": action, "m": a.m.a, "e": a.e.a}, a.p)
+    x = ModuleData(a.dim * rank, FpMatrix(a.p, maps["action"]), side)
+    return x, MonoidData(a.dim, FpMatrix(a.p, maps["m"]), FpMatrix(a.p, maps["e"]))
+
+
+@st.composite
+def random_comodules(draw, primes=SMALL_PRIMES) -> tuple:
+    """(side, dim, coaction, c): a comonoid of any constants and a right or
+    left coaction of it on a space of dim 1-3, of any constants."""
+    c = draw(random_structure_constants(primes)).comonoid
+    dx = draw(st.integers(1, 3))
+    coaction = FpMatrix(c.p, draw_entries(draw, c.p, dx * c.dim, dx))
+    return draw(st.sampled_from(SIDES)), dx, coaction, c
+
+
+@st.composite
+def mutated_comodules(draw) -> tuple:
+    """(side, dim, coaction, c): a corpus comonoid coacting on the cofree
+    comodule of rank 1 or 2, with one entry of the coaction, delta or eps
+    changed."""
+    c = corpus_bimonoid(draw(st.sampled_from(BIMONOID_FIXTURES))).comonoid
+    side, rank = draw(st.sampled_from(SIDES)), draw(st.integers(1, 2))
+    eye = np.eye(rank, dtype=np.int64)
+    coaction = np.kron(eye, c.delta.a) if side == "right" else np.kron(c.delta.a, eye)
+    maps = mutate_one(draw, {"coaction": coaction, "delta": c.delta.a, "eps": c.eps.a}, c.p)
+    comonoid = ComonoidData(c.dim, FpMatrix(c.p, maps["delta"]), FpMatrix(c.p, maps["eps"]))
+    return side, c.dim * rank, FpMatrix(c.p, maps["coaction"]), comonoid
+
+
+@st.composite
+def unequal_entwinings(draw, primes=SMALL_PRIMES) -> EntwiningData:
+    """An entwining of either side between the group algebras F_p[Z/dA] (as
+    a monoid) and F_p[Z/dC] (as a comonoid), dA != dC: the leg flip, which
+    is always one, with one entry of m, e, delta, eps or lambda0 changed, or
+    lambda0 of any constants."""
+    p = draw(st.sampled_from(primes))
+    da, dc = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
+    (_, a), = build_instance("group-algebra", p, da).roles_of("bimonoid")
+    (_, c), = build_instance("group-algebra", p, dc).roles_of("bimonoid")
+    side = draw(st.sampled_from(SIDES))
+    flip = swap_matrix(p, dc, da) if side == "right" else swap_matrix(p, da, dc)
+    maps = {"m": a.m.a, "e": a.e.a, "delta": c.delta.a, "eps": c.eps.a, "lambda0": flip.a}
+    if draw(st.booleans()):
+        maps = mutate_one(draw, maps, p)
+    else:
+        maps["lambda0"] = draw_entries(draw, p, da * dc, da * dc)
+    f = {k: FpMatrix(p, v) for k, v in maps.items()}
+    monoid, comonoid = MonoidData(da, f["m"], f["e"]), ComonoidData(dc, f["delta"], f["eps"])
+    return EntwiningData(monoid, comonoid, f["lambda0"], side)
 
 
 def proved(*objects):

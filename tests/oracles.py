@@ -140,6 +140,75 @@ def oracle_comonoid(c) -> dict:
     return {"coassociativity": coassoc, "left counit": left, "right counit": right}
 
 
+def oracle_module(x, a) -> dict:
+    """Action associativity and unit of x over the monoid a on basis
+    triples: (x.a).b == x.(ab) for a right action, whose column x*dA + a
+    holds x.a, and a.(b.x) == (ab).x for a left action, whose column
+    a*dX + x holds a.x.  Sums are Python integers."""
+    dx, da, p = x.dim, a.dim, a.p
+    bx, ba = np.eye(dx, dtype=np.int64), np.eye(da, dtype=np.int64)
+
+    def act(v, u) -> np.ndarray:
+        """v acted on by u, for v in X and u in A."""
+        out = np.zeros(dx, dtype=object)
+        for i in np.flatnonzero(v):
+            for j in np.flatnonzero(u):
+                col = i * da + j if x.side == "right" else j * dx + i
+                out += int(v[i]) * int(u[j]) * x.action.a[:, col].astype(object)
+        return out % p
+
+    def ab(j, k) -> np.ndarray:
+        """b_j b_k for a right action, acting after b_j; b_k b_j for a left."""
+        return mul_vec(a, ba[j], ba[k]) if x.side == "right" else mul_vec(a, ba[k], ba[j])
+
+    assoc = all(
+        np.array_equal(act(act(bx[i], ba[j]), ba[k]), act(bx[i], ab(j, k)))
+        for i in range(dx)
+        for j in range(da)
+        for k in range(da)
+    )
+    unit = all(np.array_equal(act(bx[i], unit_elem(a) % p), bx[i]) for i in range(dx))
+    return {"action associativity": assoc, "action unit": unit}
+
+
+def _comodule_oracle(dim: int, coaction: FpMatrix, c, right: bool) -> dict:
+    """Coassociativity and counit of a coaction X -> X(x)C (right) or
+    X -> C(x)X (left), with the image of each basis vector read as a
+    coordinate array T[x, c] (right) or T[c, x] (left)."""
+    dc, p = c.dim, c.p
+
+    def image(u) -> np.ndarray:
+        col = coaction.a[:, u].astype(object)
+        return col.reshape(dim, dc) if right else col.reshape(dc, dim)
+
+    coassoc = counit = True
+    for u in range(dim):
+        t = image(u)
+        lhs = np.zeros((dim, dc, dc) if right else (dc, dc, dim), dtype=object)
+        rhs = np.zeros_like(lhs)
+        for i, j in zip(*np.nonzero(t)):
+            coeff = int(t[i, j])
+            if right:  # (theta(x)I).theta and (I(x)delta).theta at (x, c, c')
+                lhs[:, :, j] += coeff * image(i)
+                rhs[i] += coeff * comul_elem(c, j).astype(object)
+            else:  # (delta(x)I).rho and (I(x)rho).rho at (c, c', x)
+                lhs[:, :, j] += coeff * comul_elem(c, i).astype(object)
+                rhs[i] += coeff * image(j)
+        coassoc &= np.array_equal(lhs % p, rhs % p)
+        eps = np.array([counit_elem(c, k) for k in range(dc)], dtype=object)
+        got = t @ eps if right else eps @ t
+        counit &= np.array_equal(got % p, np.eye(dim, dtype=np.int64)[u])
+    return {"coaction coassociativity": coassoc, "coaction counit": counit}
+
+
+def oracle_right_comodule(dim: int, theta: FpMatrix, c) -> dict:
+    return _comodule_oracle(dim, theta, c, right=True)
+
+
+def oracle_left_comodule(dim: int, rho: FpMatrix, c) -> dict:
+    return _comodule_oracle(dim, rho, c, right=False)
+
+
 def oracle_bialgebra(a) -> dict:
     """Diagrams (I)-(IV) in the symmetric vector-space context."""
     d, p = a.dim, a.p

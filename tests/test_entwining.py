@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 
 from entwine.exactalg import FpMatrix, identity, kron, swap_matrix
+from entwine.instances import build_instance
 from entwine.report import PreconditionError, UnsupportedError
 from entwine.structures import (
     BimonoidData,
@@ -30,8 +33,9 @@ from conftest import (
     mutated_fixtures,
     proved,
     random_structure_constants,
+    unequal_entwinings,
 )
-from oracles import oracle_entwining, oracle_lambda0, oracle_lifted_action
+from oracles import oracle_entwining, oracle_lambda0, oracle_lifted_action, oracle_module
 
 
 def verdicts(report):
@@ -95,6 +99,31 @@ def test_canonical_entwining_matches_oracle_on_random_structure_constants(a):
 @given(mutated_fixtures())
 def test_canonical_entwining_matches_oracle_on_mutated_fixtures(a):
     assert entwining_from_bimonoid(proved(a)).lambda0 == FpMatrix(a.p, oracle_lambda0(a))
+
+
+@given(unequal_entwinings())
+def test_entwining_matches_oracle_with_unequal_dims(ed):
+    assert verdicts(check_entwining(ed)) == oracle_entwining(ed)
+    if ed.side == "right":
+        _assert_lift_matches_oracle(ed, regular_right_module(ed.monoid))
+
+
+def test_entwining_peaks_at_a_few_d5_arrays():
+    # each of the larger axioms has d^5 entries for a bimonoid's own
+    # entwining; the side through lambda0 twice is built before the other
+    # and dropped after, so at most three such arrays are alive at once
+    # (3.1 d^5 measured at d = 10; 4.1 when each axiom held an
+    # identity-padded Kronecker tower)
+    (_, a), = build_instance("group-algebra", 5, 10).roles_of("bimonoid")
+    ed = entwining_from_bimonoid(a)
+    tracemalloc.start()
+    try:
+        holds = check_entwining(ed).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds
+    assert peak <= 3.5 * 8 * a.dim**5, (peak, 8 * a.dim**5)
 
 
 def test_every_single_entry_perturbation_fails():
@@ -170,6 +199,24 @@ def test_lift_group_algebra_brute_force():
     lifted = lift_comonad(ed, x)
     assert check_module(lifted, a.monoid).ok
     assert lifted.action == FpMatrix(3, oracle_lifted_action(ed, x))
+
+
+def _assert_lift_matches_oracle(ed: EntwiningData, x: ModuleData) -> None:
+    if all(oracle_module(x, ed.monoid).values()):
+        assert lift_comonad(ed, x).action == FpMatrix(ed.p, oracle_lifted_action(ed, x))
+    else:
+        with pytest.raises(PreconditionError):
+            lift_comonad(ed, x)
+
+
+@given(random_structure_constants())
+def test_lift_matches_oracle_on_random_structure_constants(a):
+    _assert_lift_matches_oracle(entwining_from_bimonoid(proved(a)), regular_right_module(a.monoid))
+
+
+@given(mutated_fixtures())
+def test_lift_matches_oracle_on_mutated_fixtures(a):
+    _assert_lift_matches_oracle(entwining_from_bimonoid(proved(a)), regular_right_module(a.monoid))
 
 
 @pytest.mark.parametrize("name", BIMONOID_FIXTURES)

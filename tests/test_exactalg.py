@@ -11,8 +11,8 @@ import entwine
 from entwine.exactalg import (
     FpMatrix,
     ShapeError,
-    apply_leg,
     cokernel_basis,
+    contract,
     fp_inv,
     identity,
     inverse,
@@ -325,20 +325,54 @@ def test_permute_legs_matches_dense_permutation(k, perm, draw):
 
 @pytest.mark.parametrize("k", range(1, 5))
 @pytest.mark.parametrize("p", (5, 2**31 - 1))
-def test_apply_leg_matches_identity_padded_kron(k, p):
+def test_contract_matches_identity_padded_kron(k, p):
+    # legs "abcd"[:k]; f takes leg `leg` to a leg "z", and "n" is the free
+    # side of the operand it is composed with
     rng = random.Random(k)
     nrng = np.random.default_rng(k)
+    legs = "abcd"[:k]
     for _ in range(3):
         dims = tuple(rng.randint(1, 4) for _ in range(k))
         for leg in range(k):
             f = rand_matrix(nrng, p, rng.randint(0, 4), dims[leg])
+            sizes = dict(zip(legs, dims), z=f.rows)
+            moved = legs.replace(legs[leg], "z")
+            # rows: (I (x) f (x) I) @ x
             x = rand_matrix(nrng, p, prod(dims), rng.randint(1, 3))
-            assert apply_leg(f, x, dims, leg) == dense_leg_map(f, dims, leg) @ x
-            # columns: y @ (I (x) f (x) I), legs of y's columns carry f's target
-            out = dims[:leg] + (f.rows,) + dims[leg + 1:]
-            y = rand_matrix(nrng, p, rng.randint(1, 3), prod(out))
-            got = apply_leg(f.transpose(), y.transpose(), out, leg).transpose()
+            got = contract(f"z|{legs[leg]},{legs}|n->{moved}|n", f, x, dict(sizes, n=x.cols))
+            assert got == dense_leg_map(f, dims, leg) @ x
+            # columns: y @ (I (x) f (x) I), the legs of y's columns carrying f's target
+            y = rand_matrix(nrng, p, rng.randint(1, 3), prod(sizes[c] for c in moved))
+            got = contract(f"n|{moved},z|{legs[leg]}->n|{legs}", y, f, dict(sizes, n=y.rows))
             assert got == y @ dense_leg_map(f, dims, leg)
+
+
+@pytest.mark.parametrize("p", (5, 2**31 - 1))
+@pytest.mark.parametrize(
+    "spec",
+    (
+        "u|xi,ij|a->uj|xa",  # the canonical map's shape
+        "xb|jk,jk|yc->xy|bc",  # two summed legs, output legs interleaved
+        "a|ij,ie|cx->acx|je",  # regrouped result
+        "u|xb,|c->u|xcb",  # no summed leg: an outer product
+        "|k,uk|xcb->u|xcb",  # a row vector on one leg
+    ),
+)
+def test_contract_matches_elementwise_sum(spec, p):
+    rng = np.random.default_rng(len(spec))
+    dim = {c: int(rng.integers(1, 4)) for c in "abcdeijkuxy"}
+    (xr, xc), (yr, yc), (outr, outc) = (g.split("|") for g in spec.replace("->", ",").split(","))
+
+    def size(legs):
+        return prod(dim[c] for c in legs)
+
+    x = rand_matrix(rng, p, size(xr), size(xc))
+    y = rand_matrix(rng, p, size(yr), size(yc))
+    # the same contraction in Python integers, by np.einsum on object arrays
+    tx = x.a.astype(object).reshape([dim[c] for c in xr + xc])
+    ty = y.a.astype(object).reshape([dim[c] for c in yr + yc])
+    want = np.einsum(f"{xr + xc},{yr + yc}->{outr + outc}", tx, ty) % p
+    assert contract(spec, x, y, dim) == FpMatrix(p, want.reshape(size(outr), size(outc)).astype(np.int64))
 
 
 def test_leg_primitives_reject_bad_legs():
@@ -347,10 +381,18 @@ def test_leg_primitives_reject_bad_legs():
         permute_legs(x, (2, 2), (1, 0))
     with pytest.raises(ShapeError):
         permute_legs(x, (2, 3), (0, 0))
+    f = identity(3, 3)
+    dims = dict(a=2, i=3, b=3)
+    contract("a|i,i|b->a|b", FpMatrix(3, np.ones((2, 3))), f, dims)
+    # a mis-split operand: 4x4 entries whose legs describe a 2x8 map
     with pytest.raises(ShapeError):
-        apply_leg(identity(3, 2), x, (2, 3), 1)
+        contract("u|xi,i|j->ux|j", identity(5, 4), identity(5, 2), dict(u=2, x=4, i=2, j=2))
+    # a wrong-size operand
     with pytest.raises(ShapeError):
-        apply_leg(identity(5, 3), x, (2, 3), 1)
+        contract("a|i,i|b->a|b", FpMatrix(3, np.ones((2, 2))), f, dims)
+    # a modulus mismatch
+    with pytest.raises(ShapeError):
+        contract("a|i,i|b->a|b", FpMatrix(5, np.ones((2, 3))), f, dims)
 
 
 def test_only_exactalg_names_swap_matrix():

@@ -19,8 +19,11 @@ from entwine.structures import (
     check_bialgebra,
     check_comodule_algebra,
     check_comonoid,
+    check_left_comodule,
+    check_module,
     check_module_comonoid,
     check_monoid,
+    check_right_comodule,
     free_left_module,
     module_comonoid_of_coalgebra,
     regular_right_module,
@@ -32,11 +35,23 @@ from conftest import (
     corpus_bimonoid,
     corpus_instance,
     mutated_comodule_fixtures,
+    mutated_comodules,
     mutated_fixtures,
+    mutated_modules,
     random_comodule_algebras,
+    random_comodules,
+    random_modules,
     random_structure_constants,
 )
-from oracles import oracle_bialgebra, oracle_comodule_algebra, oracle_comonoid, oracle_monoid
+from oracles import (
+    oracle_bialgebra,
+    oracle_comodule_algebra,
+    oracle_comonoid,
+    oracle_left_comodule,
+    oracle_module,
+    oracle_monoid,
+    oracle_right_comodule,
+)
 
 
 def flip_entry(mat: FpMatrix, i: int, j: int, value: int) -> FpMatrix:
@@ -110,6 +125,54 @@ def test_checker_verdicts_match_oracle_on_corpus(name):
     bial = verdicts(check_bialgebra(a))
     for diag, ok in oracle_bialgebra(a).items():
         assert bial[diag] == ok
+
+
+def _assert_monoid_comonoid_match_oracles(a: BimonoidData) -> None:
+    assert verdicts(check_monoid(a.monoid)) == oracle_monoid(a.monoid)
+    assert verdicts(check_comonoid(a.comonoid)) == oracle_comonoid(a.comonoid)
+
+
+@given(random_structure_constants())
+def test_monoid_comonoid_match_oracles_on_random_structure_constants(a):
+    _assert_monoid_comonoid_match_oracles(a)
+
+
+@given(mutated_fixtures())
+def test_monoid_comonoid_match_oracles_on_mutated_fixtures(a):
+    _assert_monoid_comonoid_match_oracles(a)
+
+
+# ---------------------------------------------------------------------------
+# modules and comodules, swept against the oracles
+# ---------------------------------------------------------------------------
+
+@given(random_modules())
+def test_module_matches_oracle_on_random_structure_constants(xa):
+    x, a = xa
+    assert verdicts(check_module(x, a)) == oracle_module(x, a)
+
+
+@given(mutated_modules())
+def test_module_matches_oracle_on_mutated_fixtures(xa):
+    x, a = xa
+    assert verdicts(check_module(x, a)) == oracle_module(x, a)
+
+
+def _assert_comodule_matches_oracle(side, dim, coaction, c) -> None:
+    if side == "right":
+        assert verdicts(check_right_comodule(dim, coaction, c)) == oracle_right_comodule(dim, coaction, c)
+    else:
+        assert verdicts(check_left_comodule(dim, coaction, c)) == oracle_left_comodule(dim, coaction, c)
+
+
+@given(random_comodules())
+def test_comodule_matches_oracle_on_random_structure_constants(args):
+    _assert_comodule_matches_oracle(*args)
+
+
+@given(mutated_comodules())
+def test_comodule_matches_oracle_on_mutated_fixtures(args):
+    _assert_comodule_matches_oracle(*args)
 
 
 # ---------------------------------------------------------------------------
