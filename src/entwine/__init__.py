@@ -4,7 +4,6 @@ canonical Galois maps over prime fields."""
 from .exactalg import (
     FpMatrix,
     ShapeError,
-    cokernel_basis,
     contract,
     identity,
     inverse,
@@ -32,10 +31,8 @@ from .structures import (
     check_module,
     check_module_comonoid,
     check_monoid,
-    free_left_module,
     module_comonoid_of_coalgebra,
     regular_right_module,
-    tensor_over_A,
 )
 from .entwining import (
     EntwiningData,

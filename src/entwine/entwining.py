@@ -171,18 +171,21 @@ def lift_report(ed: EntwiningData, x: ModuleData) -> Report:
     r = Report("lifted module")
     r.merge(check_module(lifted, ed.monoid), prefix="lifted ")
     eps, delta = ed.comonoid.eps, ed.comonoid.delta
-    dims = dict(u=x.dim, x=x.dim, b=ed.monoid.dim, **dict.fromkeys("cefghk", ed.comonoid.dim))
-    # (I_X(x)f).h' = h''.(I_X(x)f(x)I_A) for f the counit, then the comultiplication
+    dims = dict(u=x.dim, x=x.dim, a=ed.monoid.dim, b=ed.monoid.dim)
+    dims.update(dict.fromkeys("cefghk", ed.comonoid.dim))
+    # (I_X(x)f).h' = h''.(I_X(x)f(x)I_A) for f the counit, then the comultiplication,
+    # with h'' the lift of h' never built: the right side at ((u, g, h), (x, c, b))
+    # sums h'[(u, g), (x, e, a)] lambda0[(a, h), (f, b)] delta[(e, f), c]
     r.require_equal(
         "counit leg is a module morphism",
         contract("|k,uk|xcb->u|xcb", eps, lifted.action, dims),
         contract("u|xb,|c->u|xcb", x.action, eps, dims),
     )
-    twice = lift_comonad(ed, lifted)
+    t = contract("ah|fb,ef|c->ah|ecb", ed.lambda0, delta, dims)
     r.require_equal(
         "comultiplication leg is a module morphism",
         contract("gh|k,uk|xcb->ugh|xcb", delta, lifted.action, dims),
-        contract("ugh|xefb,ef|c->ugh|xcb", twice.action, delta, dims),
+        contract("ug|xea,ah|ecb->ugh|xcb", lifted.action, t, dims),
     )
     return r
 

@@ -14,8 +14,7 @@ The conventions are fixed once, here, for everything downstream:
   identity-padded Kronecker product, which would be far larger than either
   operand, and :func:`kron` only builds data;
 * row reduction is deterministic (first nonzero pivot, rows scanned
-  top-down), so kernels, inverses and quotient projections are reproducible
-  byte for byte.
+  top-down), so kernels and inverses are reproducible byte for byte.
 
 Only dense matrices over F_p with ``2 <= p < 2**31``; instance dimensions in
 this package stay small enough that nothing smarter is warranted.
@@ -46,7 +45,6 @@ __all__ = [
     "left_inverse",
     "inverse",
     "kernel_basis",
-    "cokernel_basis",
     "fp_inv",
     "is_prime",
 ]
@@ -123,15 +121,6 @@ class FpMatrix:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def from_flat(cls, p: int, rows: int, cols: int, entries) -> "FpMatrix":
-        a = np.array(list(entries), dtype=np.int64)
-        if a.size != rows * cols:
-            raise ShapeError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {a.size}"
-            )
-        return cls(p, a.reshape(rows, cols))
-
-    @classmethod
     def column(cls, p: int, entries) -> "FpMatrix":
         return cls(p, np.array(list(entries), dtype=np.int64).reshape(-1, 1))
 
@@ -183,20 +172,11 @@ class FpMatrix:
             )
         return FpMatrix._reduced(self.p, _product(self.p, self.a, other.a))
 
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        self._match(other)
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return FpMatrix(self.p, self.a + other.a)
-
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._match(other)
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
         return FpMatrix(self.p, self.a - other.a)
-
-    def __neg__(self) -> "FpMatrix":
-        return FpMatrix(self.p, -self.a)
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix._reduced(self.p, self.a.T)
@@ -439,13 +419,3 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
     basis[free, np.arange(free.size)] = 1
     basis[list(pivots)] = (-red.a[:rk, free]) % m.p
     return FpMatrix._reduced(m.p, basis)
-
-
-def cokernel_basis(m: FpMatrix) -> FpMatrix:
-    """Projection of the target onto ``target / im(m)``.
-
-    The rows express the quotient in the coordinates of the non-pivot
-    positions of a row-reduced basis of the image; ``P @ m == 0`` and P has
-    full row rank ``rows - rank(m)``: the transposed kernel basis of m^T.
-    """
-    return kernel_basis(m.transpose()).transpose()

@@ -312,13 +312,36 @@ def _matrix_payload(m: FpMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": m.entries_rowmajor()}
 
 
+def _bimonoid(p: int, meta: dict, m: list, e: list, delta: list, eps: list) -> dict:
+    """Raw instance of one bimonoid role A on the four maps' row-major entries."""
+    n = len(e)
+    maps = {"m": (n, n * n, m), "e": (n, 1, e), "delta": (n * n, n, delta), "eps": (1, n, eps)}
+    return {
+        "field_p": p,
+        "meta": meta,
+        "objects": {"A": n},
+        "maps": {k: {"rows": r, "cols": c, "entries": x} for k, (r, c, x) in maps.items()},
+        "roles": {"A": {"kind": "bimonoid", "object": "A", **{k: k for k in maps}}},
+    }
+
+
+def _monoid_algebra(p: int, meta: dict, n: int, product) -> dict:
+    """F_p[M] for the monoid M on 0..n-1 under ``product`` with unit 0, every
+    basis element group-like (delta g = g (x) g, eps g = 1)."""
+    m = [0] * (n * n * n)
+    delta = [0] * (n * n * n)
+    for i in range(n):
+        for j in range(n):
+            m[product(i, j) * n * n + i * n + j] = 1
+        delta[(i * n + i) * n + i] = 1
+    return _bimonoid(p, meta, m, [1] + [0] * (n - 1), delta, [1] * n)
+
+
 def _with_entwining_and_regular(raw: dict) -> dict:
     """Attach the derived entwining and the regular Hopf module to a raw
     bimonoid instance (both are exercised by several CLI commands)."""
-    inst = instance_from_dict(raw)
-    (name, a), = inst.roles_of("bimonoid")
-    ed = entwining_from_bimonoid(a)
-    raw["maps"]["lambda0"] = _matrix_payload(ed.lambda0)
+    (name, a), = instance_from_dict(raw).roles_of("bimonoid")
+    raw["maps"]["lambda0"] = _matrix_payload(entwining_from_bimonoid(a).lambda0)
     raw["roles"]["lambda"] = {
         "kind": "entwining",
         "monoid": name,
@@ -336,61 +359,31 @@ def _with_entwining_and_regular(raw: dict) -> dict:
     return raw
 
 
-def build_group_algebra(p: int, order: int) -> dict:
-    """Group algebra F_p[Z/order] with the group-like coalgebra structure."""
+def _group_algebra(p: int, order: int) -> dict:
+    """Raw F_p[Z/order] with the group-like coalgebra structure."""
     if order < 1:
         raise InstanceError("order must be >= 1")
     n = order
-    m = [[0] * (n * n) for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            m[(i + j) % n][i * n + j] = 1
-    e = [[1 if i == 0 else 0] for i in range(n)]
-    delta = [[0] * n for _ in range(n * n)]
-    for i in range(n):
-        delta[i * n + i][i] = 1
-    eps = [[1] * n]
     labels = ["u"] + [f"g{'' if k == 1 else k}" for k in range(1, n)]
-    raw = {
-        "field_p": p,
-        "meta": {
-            "description": f"group algebra F_{p}[Z/{n}] (Hopf)" if n > 1 else f"trivial bimonoid over F_{p}",
-            "labels": {"A": labels},
-        },
-        "objects": {"A": n},
-        "maps": {
-            "m": {"rows": n, "cols": n * n, "entries": [x for row in m for x in row]},
-            "e": {"rows": n, "cols": 1, "entries": [x for row in e for x in row]},
-            "delta": {"rows": n * n, "cols": n, "entries": [x for row in delta for x in row]},
-            "eps": {"rows": 1, "cols": n, "entries": eps[0]},
-        },
-        "roles": {
-            "A": {"kind": "bimonoid", "object": "A", "m": "m", "e": "e", "delta": "delta", "eps": "eps"}
-        },
+    meta = {
+        "description": f"group algebra F_{p}[Z/{n}] (Hopf)" if n > 1 else f"trivial bimonoid over F_{p}",
+        "labels": {"A": labels},
     }
-    return _with_entwining_and_regular(raw)
+    return _monoid_algebra(p, meta, n, lambda i, j: (i + j) % n)
+
+
+def build_group_algebra(p: int, order: int) -> dict:
+    """Group algebra F_p[Z/order] with the group-like coalgebra structure."""
+    return _with_entwining_and_regular(_group_algebra(p, order))
 
 
 def build_idempotent_monoid(p: int) -> dict:
     """Monoid algebra F_p[{1, z}] with z^2 = z: a bimonoid that is not Hopf."""
-    raw = {
-        "field_p": p,
-        "meta": {
-            "description": f"monoid algebra F_{p}[{{1,z}}], z^2 = z (bimonoid, not Hopf)",
-            "labels": {"A": ["u", "z"]},
-        },
-        "objects": {"A": 2},
-        "maps": {
-            "m": {"rows": 2, "cols": 4, "entries": [1, 0, 0, 0, 0, 1, 1, 1]},
-            "e": {"rows": 2, "cols": 1, "entries": [1, 0]},
-            "delta": {"rows": 4, "cols": 2, "entries": [1, 0, 0, 0, 0, 0, 0, 1]},
-            "eps": {"rows": 1, "cols": 2, "entries": [1, 1]},
-        },
-        "roles": {
-            "A": {"kind": "bimonoid", "object": "A", "m": "m", "e": "e", "delta": "delta", "eps": "eps"}
-        },
+    meta = {
+        "description": f"monoid algebra F_{p}[{{1,z}}], z^2 = z (bimonoid, not Hopf)",
+        "labels": {"A": ["u", "z"]},
     }
-    return _with_entwining_and_regular(raw)
+    return _with_entwining_and_regular(_monoid_algebra(p, meta, 2, max))
 
 
 def build_sweedler(p: int) -> dict:
@@ -399,99 +392,62 @@ def build_sweedler(p: int) -> dict:
     if p == 2:
         raise InstanceError("the four-dimensional Hopf algebra needs p odd")
     neg = p - 1
-    n = 4
-    m = [[0] * 16 for _ in range(4)]
-
-    def set_prod(i, j, coeffs):
-        for k, c in coeffs:
-            m[k][i * 4 + j] = c % p
-
-    # basis order: 1, g, x, gx
-    set_prod(0, 0, [(0, 1)]); set_prod(0, 1, [(1, 1)]); set_prod(0, 2, [(2, 1)]); set_prod(0, 3, [(3, 1)])
-    set_prod(1, 0, [(1, 1)]); set_prod(1, 1, [(0, 1)]); set_prod(1, 2, [(3, 1)]); set_prod(1, 3, [(2, 1)])
-    set_prod(2, 0, [(2, 1)]); set_prod(2, 1, [(3, neg)]); set_prod(2, 2, []); set_prod(2, 3, [])
-    set_prod(3, 0, [(3, 1)]); set_prod(3, 1, [(2, neg)]); set_prod(3, 2, []); set_prod(3, 3, [])
-    delta = [[0] * 4 for _ in range(16)]
-
-    def set_coprod(i, terms):
+    m = [0] * 64
+    # basis order: 1, g, x, gx; products[i][j] lists the terms (k, c) of i.j
+    products = (
+        ([(0, 1)], [(1, 1)], [(2, 1)], [(3, 1)]),
+        ([(1, 1)], [(0, 1)], [(3, 1)], [(2, 1)]),
+        ([(2, 1)], [(3, neg)], [], []),
+        ([(3, 1)], [(2, neg)], [], []),
+    )
+    for i, row in enumerate(products):
+        for j, terms in enumerate(row):
+            for k, c in terms:
+                m[k * 16 + i * 4 + j] = c % p
+    delta = [0] * 64
+    # coproducts[i] lists the terms ((a, b), c) of delta(i)
+    coproducts = (
+        [((0, 0), 1)],
+        [((1, 1), 1)],
+        [((2, 0), 1), ((1, 2), 1)],
+        [((3, 1), 1), ((0, 3), 1)],
+    )
+    for i, terms in enumerate(coproducts):
         for (a, b), c in terms:
-            delta[a * 4 + b][i] = c % p
-
-    set_coprod(0, [((0, 0), 1)])
-    set_coprod(1, [((1, 1), 1)])
-    set_coprod(2, [((2, 0), 1), ((1, 2), 1)])
-    set_coprod(3, [((3, 1), 1), ((0, 3), 1)])
-    raw = {
-        "field_p": p,
-        "meta": {
-            "description": f"four-dimensional Hopf algebra over F_{p} (antipode of order 4)",
-            "labels": {"A": ["u", "g", "x", "gx"]},
-        },
-        "objects": {"A": n},
-        "maps": {
-            "m": {"rows": 4, "cols": 16, "entries": [x for row in m for x in row]},
-            "e": {"rows": 4, "cols": 1, "entries": [1, 0, 0, 0]},
-            "delta": {"rows": 16, "cols": 4, "entries": [x for row in delta for x in row]},
-            "eps": {"rows": 1, "cols": 4, "entries": [1, 1, 0, 0]},
-        },
-        "roles": {
-            "A": {"kind": "bimonoid", "object": "A", "m": "m", "e": "e", "delta": "delta", "eps": "eps"}
-        },
+            delta[(a * 4 + b) * 4 + i] = c % p
+    meta = {
+        "description": f"four-dimensional Hopf algebra over F_{p} (antipode of order 4)",
+        "labels": {"A": ["u", "g", "x", "gx"]},
     }
-    return _with_entwining_and_regular(raw)
+    return _with_entwining_and_regular(_bimonoid(p, meta, m, [1, 0, 0, 0], delta, [1, 1, 0, 0]))
+
+
+def _comodule_algebra(raw: dict, description: str, b_dim: int, m: str, e: str, rho: str) -> dict:
+    """Extend a raw group algebra A by a comodule algebra B, whose m, e and
+    rho name maps of A or the 1x1 map ``one``, and by a trivial comonoid C
+    for the generalized canonical map."""
+    raw["meta"]["description"] = description
+    raw["objects"].update(B=b_dim, C=1)
+    raw["maps"]["one"] = {"rows": 1, "cols": 1, "entries": [1]}
+    raw["roles"]["B"] = {"kind": "comodule-algebra", "object": "B", "m": m, "e": e, "over": "A", "rho": rho}
+    raw["roles"]["C"] = {"kind": "comonoid", "object": "C", "delta": "one", "eps": "one"}
+    return raw
 
 
 def build_regular_comodule(p: int, order: int = 2) -> dict:
     """B = A = F_p[Z/order] coacting on itself by its comultiplication, with a
     trivial comonoid C for the generalized canonical map."""
-    base = build_group_algebra(p, order)
-    raw = {
-        "field_p": p,
-        "meta": {
-            "description": f"regular comodule algebra B = A = F_{p}[Z/{order}], rho = delta",
-            "labels": base["meta"]["labels"],
-        },
-        "objects": {"A": order, "B": order, "C": 1},
-        "maps": {
-            "m": base["maps"]["m"],
-            "e": base["maps"]["e"],
-            "delta": base["maps"]["delta"],
-            "eps": base["maps"]["eps"],
-            "one": {"rows": 1, "cols": 1, "entries": [1]},
-        },
-        "roles": {
-            "A": {"kind": "bimonoid", "object": "A", "m": "m", "e": "e", "delta": "delta", "eps": "eps"},
-            "B": {"kind": "comodule-algebra", "object": "B", "m": "m", "e": "e", "over": "A", "rho": "delta"},
-            "C": {"kind": "comonoid", "object": "C", "delta": "one", "eps": "one"},
-        },
-    }
-    return raw
+    description = f"regular comodule algebra B = A = F_{p}[Z/{order}], rho = delta"
+    return _comodule_algebra(_group_algebra(p, order), description, order, "m", "e", "delta")
 
 
 def build_trivial_coaction(p: int, order: int = 2) -> dict:
     """One-dimensional B coacting through the unit of A: not Galois, by a
     dimension obstruction."""
-    base = build_group_algebra(p, order)
-    raw = {
-        "field_p": p,
-        "meta": {
-            "description": f"trivial coaction: B = F_{p} over A = F_{p}[Z/{order}], rho = e",
-        },
-        "objects": {"A": order, "B": 1, "C": 1},
-        "maps": {
-            "m": base["maps"]["m"],
-            "e": base["maps"]["e"],
-            "delta": base["maps"]["delta"],
-            "eps": base["maps"]["eps"],
-            "one": {"rows": 1, "cols": 1, "entries": [1]},
-        },
-        "roles": {
-            "A": {"kind": "bimonoid", "object": "A", "m": "m", "e": "e", "delta": "delta", "eps": "eps"},
-            "B": {"kind": "comodule-algebra", "object": "B", "m": "one", "e": "one", "over": "A", "rho": "e"},
-            "C": {"kind": "comonoid", "object": "C", "delta": "one", "eps": "one"},
-        },
-    }
-    return raw
+    raw = _group_algebra(p, order)
+    del raw["meta"]["labels"]
+    description = f"trivial coaction: B = F_{p} over A = F_{p}[Z/{order}], rho = e"
+    return _comodule_algebra(raw, description, 1, "one", "one", "e")
 
 
 builders = {

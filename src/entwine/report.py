@@ -9,7 +9,6 @@ leg orderings are never ambiguous when comparing constructions.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -114,52 +113,48 @@ class Report:
         return [c.name for c in self.checks if not c.passed]
 
 
-def _skeleton(v, matrices: list):
-    """v with each FpMatrix replaced by a slot dict, appended to matrices with
-    its matrix.  (A module function: a recursive closure would be a
-    reference cycle, keeping the matrices alive until the next collection.)"""
+# json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True), one encoder for all calls
+_dump = json.JSONEncoder(sort_keys=True, indent=2).encode
+
+
+def _holds_matrix(v) -> bool:
+    return isinstance(v, FpMatrix) or isinstance(v, dict) and any(map(_holds_matrix, v.values()))
+
+
+def _pieces(v, pad: str):
+    """The text of v at indentation ``pad``, in document order.  (A module
+    function: a recursive closure would be a reference cycle, keeping the
+    matrices alive until the next collection.)"""
+    inner = pad + "  "
     if isinstance(v, FpMatrix):
-        matrices.append((v, {"rows": v.rows, "cols": v.cols}))
-        return matrices[-1][1]
-    if isinstance(v, dict):
-        return {k: _skeleton(x, matrices) for k, x in v.items()}
-    return v
+        yield f'{{\n{inner}"cols": {v.cols},\n{inner}"entries": '
+        if v.a.size:
+            # the repr of a list of ints is its entries joined by ", "
+            yield f"[\n{inner}  "
+            yield str(v.a.reshape(-1).tolist())[1:-1].replace(", ", ",\n" + inner + "  ")
+            yield f"\n{inner}]"
+        else:
+            yield "[]"
+        yield f',\n{inner}"rows": {v.rows}\n{pad}}}'
+    elif _holds_matrix(v):
+        opening = "{"
+        for key in sorted(v):
+            yield f"{opening}\n{inner}{_dump(key)}: "
+            yield from _pieces(v[key], inner)
+            opening = ","
+        yield f"\n{pad}}}"
+    else:
+        yield _dump(v).replace("\n", "\n" + pad)
 
 
 def render_json(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)``
-    and a newline, at C speed, with each FpMatrix value of the payload's
-    (nested) dicts written as ``{"cols": ..., "entries": [...], "rows": ...}``.
+    and a newline, with each FpMatrix value of the payload's (nested) dicts
+    written as ``{"cols": ..., "entries": [...], "rows": ...}``.
 
     json.dumps with an indent runs the pure-Python encoder, one call per
-    entry.  So the skeleton is dumped with each matrix's ``entries`` list
-    replaced by a placeholder string, and each placeholder is then spliced
-    out for its list, one entry per line, indented one level below the
-    placeholder's own line.  The placeholders carry a salt, raised until
-    each occurs exactly once in the skeleton, so no other string of the
-    payload is ever taken for one.
+    entry.  So the document is written in order: a dict that holds a matrix
+    key by key, a matrix's entries from the repr of their list, one entry
+    per line, and any other value by one json call, re-indented.
     """
-    matrices = []
-    shape = _skeleton(payload, matrices)
-    for salt in itertools.count():
-        for i, (_, slot) in enumerate(matrices):
-            slot["entries"] = f"entries {salt}:{i}"
-        text = json.dumps(shape, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
-        marks = [f'"entries": "{slot["entries"]}"' for _, slot in matrices]
-        if all(text.count(mark) == 1 for mark in marks):
-            break
-    found = sorted((text.index(mark), mark, m) for mark, (m, _) in zip(marks, matrices))
-    pieces, done = [], 0
-    for at, mark, m in found:
-        pad = text[text.rindex("\n", 0, at) + 1:at]
-        pieces.append(text[done:at + len('"entries": ')])
-        if m.a.size:
-            # the repr of a list of ints is its entries joined by ", "
-            inner = pad + "  "
-            flat = str(m.a.reshape(-1).tolist())[1:-1].replace(", ", ",\n" + inner)
-            pieces += ("[\n", inner, flat, "\n", pad, "]")
-        else:
-            pieces.append("[]")
-        done = at + len(mark)
-    pieces.append(text[done:])
-    return "".join(pieces)
+    return "".join([*_pieces(payload, ""), "\n"])

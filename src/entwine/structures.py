@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .exactalg import FpMatrix, ShapeError, contract, identity, kron, permute_legs
-from .report import Report, UnsupportedError, require
+from .report import Report, require
 
 __all__ = [
     "MonoidData",
@@ -32,9 +31,7 @@ __all__ = [
     "check_comodule_algebra",
     "check_module_comonoid",
     "module_comonoid_of_coalgebra",
-    "free_left_module",
     "regular_right_module",
-    "tensor_over_A",
 ]
 
 
@@ -141,12 +138,11 @@ class BimonoidData:
 @dataclass(frozen=True)
 class ModuleData:
     """A module over a monoid: right actions are X(x)A -> X, left actions
-    A(x)X -> X.  ``free_rank`` marks a left module of the free form A(x)V."""
+    A(x)X -> X."""
 
     dim: int
     action: FpMatrix
     side: str = "right"
-    free_rank: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.side not in ("right", "left"):
@@ -393,42 +389,5 @@ def check_module_comonoid(z: ModuleComonoidData, a: BimonoidData) -> Report:
     return r
 
 
-# ---------------------------------------------------------------------------
-# tensor product over A for free modules
-# ---------------------------------------------------------------------------
-
 def regular_right_module(a: MonoidData) -> ModuleData:
     return ModuleData(a.dim, a.m, "right")
-
-
-def free_left_module(a: MonoidData, v_dim: int) -> ModuleData:
-    """The free left module A(x)V with action m(x)I_V."""
-    return ModuleData(
-        a.dim * v_dim,
-        kron(a.m, identity(a.p, v_dim)),
-        "left",
-        free_rank=v_dim,
-    )
-
-
-def tensor_over_A(n: ModuleData, a: MonoidData, free: ModuleData) -> tuple:
-    """Tensor product N (x)_A (A (x) V) for a free left module.
-
-    Returns ``(dim, can)`` where can: N(x)A(x)V -> N(x)V is the canonical
-    split-coequalizer projection n(x)a(x)v |-> n.a(x)v; the object dimension
-    is dim(N)*dim(V).  The general coequalizer (non-free left modules) is out
-    of scope and reported as unsupported; it remains reachable through
-    cokernel_basis directly.
-    """
-    if n.side != "right":
-        raise ShapeError("tensor_over_A expects a right module on the left slot")
-    if free.side != "left" or free.free_rank is None:
-        raise UnsupportedError("tensor_over_A supports only free left modules A(x)V")
-    v = free.free_rank
-    if free.dim != a.dim * v:
-        raise ShapeError(
-            f"free module of rank {v} over dim-{a.dim} algebra must have dim {a.dim * v}"
-        )
-    _expect(n.action, (n.dim, n.dim * a.dim), "right action")
-    can = kron(n.action, identity(a.p, v))
-    return n.dim * v, can

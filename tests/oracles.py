@@ -621,6 +621,49 @@ def oracle_lifted_action(ed, mod) -> np.ndarray:
     return out
 
 
+def oracle_lift_legs(ed, mod) -> dict:
+    """The counit and comultiplication legs of the lifted comonad as module
+    morphisms, on basis tuples x (x) c (x) a of a right-side entwining:
+    (I(x)eps).h' against eps(c) x.a, and (I(x)delta).h' against the lift of
+    h' (the action of X(x)C) applied to x (x) delta(c) (x) a."""
+    p = ed.p
+    da, dc, dx = ed.monoid.dim, ed.comonoid.dim, mod.dim
+    w = entwine_pairs(ed)  # w[c, a, a', c'] for psi(c (x) a) = a' (x) c'
+    eps = ed.comonoid.eps.a[0]
+
+    def lifted(xi, ci, ai) -> np.ndarray:
+        """h'(x (x) c (x) a) as an array over (u, c')."""
+        out = np.zeros((dx, dc), dtype=np.int64)
+        for a1, c1 in itertools.product(range(da), range(dc)):
+            if w[ci, ai, a1, c1]:
+                out[:, c1] = (out[:, c1] + int(w[ci, ai, a1, c1]) * mod.action.a[:, xi * da + a1]) % p
+        return out
+
+    counit = comult = True
+    for xi, ci, ai in itertools.product(range(dx), range(dc), range(da)):
+        once = lifted(xi, ci, ai)
+        by_eps = np.zeros(dx, dtype=np.int64)
+        for c1 in range(dc):
+            by_eps = (by_eps + int(eps[c1]) * once[:, c1]) % p
+        counit &= np.array_equal(by_eps, int(eps[ci]) * mod.action.a[:, xi * da + ai] % p)
+        lhs = np.zeros((dx, dc, dc), dtype=np.int64)
+        for c1 in range(dc):
+            lhs = (lhs + once[:, c1, None, None] * comul_elem(ed.comonoid, c1)[None]) % p
+        rhs = np.zeros((dx, dc, dc), dtype=np.int64)
+        for c1, c2 in itertools.product(range(dc), range(dc)):
+            coeff = int(comul_elem(ed.comonoid, ci)[c1, c2])
+            for a1, h in itertools.product(range(da), range(dc)):
+                if coeff and w[c2, ai, a1, h]:
+                    # h'((x (x) c1) (x) a1) (x) h
+                    scale = coeff * int(w[c2, ai, a1, h]) % p
+                    rhs[:, :, h] = (rhs[:, :, h] + scale * lifted(xi, c1, a1)) % p
+        comult &= np.array_equal(lhs, rhs)
+    return {
+        "counit leg is a module morphism": bool(counit),
+        "comultiplication leg is a module morphism": bool(comult),
+    }
+
+
 def oracle_rref(m) -> tuple:
     """Reduced row echelon form by the textbook row loop: ``(R, rank,
     pivots)``.  Columns are scanned left to right and the first nonzero

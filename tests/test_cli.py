@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import entwine
-from entwine import cli, duoidal, entwining, exactalg, hopfmod, structures
+from entwine import cli, duoidal, entwining, exactalg, hopfmod, instances, structures
 from entwine.cli import main, report_json
 from entwine.exactalg import FpMatrix
 from entwine.instances import (
@@ -24,9 +25,9 @@ from entwine.instances import (
     load_instance,
     serialize_instance,
 )
-from entwine.report import Report
+from entwine.report import Report, render_json
 
-from conftest import ALL_FIXTURES, BIMONOID_FIXTURES, chain_algebra, monoid_algebra
+from conftest import ALL_FIXTURES, BIMONOID_FIXTURES, SWEEP_PRIMES, chain_algebra, monoid_algebra
 
 
 def run(capsys, *argv):
@@ -349,6 +350,45 @@ def test_spliced_json_keeps_no_matrix_alive():
         gc.enable()
 
 
+def plain(v):
+    """v with each FpMatrix, at any dict depth, as the dict render_json writes."""
+    if isinstance(v, FpMatrix):
+        return {"rows": v.rows, "cols": v.cols, "entries": [int(x) for x in v.a.flat]}
+    if isinstance(v, dict):
+        return {k: plain(x) for k, x in v.items()}
+    return v
+
+
+@st.composite
+def fp_matrices(draw) -> FpMatrix:
+    p = draw(st.sampled_from(SWEEP_PRIMES))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    flat = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    return FpMatrix(p, np.array(flat, dtype=np.int64).reshape(rows, cols))
+
+
+# strings that spell the placeholders an earlier renderer spliced, keys that
+# sort around a matrix's own, and text of any alphabet
+TEXT = st.sampled_from(("entries 0:0", "entries 1:0", '"entries": "entries 0:1"', "déjà", "")) | st.text(max_size=8)
+KEYS = st.sampled_from(("entries", "rows", "cols", "data", "α")) | st.text(max_size=4)
+LEAVES = st.none() | st.booleans() | st.integers(-(2**62), 2**62) | TEXT
+# matrices sit at any dict depth; lists (of dicts too) hold plain values only
+PLAIN = st.recursive(
+    LEAVES, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(KEYS, kids, max_size=3), max_leaves=10
+)
+PAYLOADS = st.recursive(
+    PLAIN | fp_matrices(), lambda kids: st.dictionaries(KEYS, kids, max_size=4), max_leaves=12
+)
+
+
+@given(PAYLOADS)
+@example({"wide": FpMatrix(7, np.arange(6).reshape(2, 3)), "empty": {}, "rows": FpMatrix(3, np.zeros((0, 2)))})
+@example({"deep": {"er": {"cols": FpMatrix(5, np.zeros((2, 0))), "list": [{"a": 1}, {}]}}, "entries": "entries 0:0"})
+def test_render_json_matches_json_dumps(payload):
+    want = json.dumps(plain(payload), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    assert render_json(payload) == want
+
+
 def test_human_report_antipode_labels(capsys):
     code, out, _ = run(capsys, "galois", fixture_path("kz2_f3"))
     assert code == 0
@@ -528,6 +568,17 @@ def test_make_instance_round_trips(tmp_path, capsys):
     assert a.dim == 4
     code, _, _ = run(capsys, "galois", str(out_path))
     assert code == 0
+
+
+def test_comodule_kinds_do_not_prove_their_base(monkeypatch):
+    # A is written from its definition; loading the instance proves nothing,
+    # and these kinds carry no entwining
+    proofs = _count_calls(monkeypatch, structures, "check_bialgebra")
+    derived = []
+    monkeypatch.setattr(instances, "entwining_from_bimonoid", derived.append)
+    for kind in ("regular-comodule", "trivial-coaction"):
+        assert build_instance(kind, 5, 4).objects["A"] == 4
+    assert proofs == [] and derived == []
 
 
 def test_dense_group_algebra_of_order_12(tmp_path, capsys):

@@ -1,8 +1,9 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from entwine.exactalg import FpMatrix, identity, kron, swap_matrix
 from entwine.instances import build_instance
@@ -30,12 +31,13 @@ from conftest import (
     SWEEP_PRIMES,
     corpus_bimonoid,
     corpus_instance,
+    mutate_one,
     mutated_fixtures,
     proved,
     random_structure_constants,
     unequal_entwinings,
 )
-from oracles import oracle_entwining, oracle_lambda0, oracle_lifted_action, oracle_module
+from oracles import oracle_entwining, oracle_lambda0, oracle_lift_legs, oracle_lifted_action, oracle_module
 
 
 def verdicts(report):
@@ -106,6 +108,7 @@ def test_entwining_matches_oracle_with_unequal_dims(ed):
     assert verdicts(check_entwining(ed)) == oracle_entwining(ed)
     if ed.side == "right":
         _assert_lift_matches_oracle(ed, regular_right_module(ed.monoid))
+        _assert_legs_match_oracle(ed, regular_right_module(ed.monoid))
 
 
 def test_entwining_peaks_at_a_few_d5_arrays():
@@ -225,6 +228,67 @@ def test_lift_legs_are_module_morphisms(name):
     ed = entwining_from_bimonoid(a)
     rep = lift_report(ed, regular_right_module(a.monoid))
     assert rep.ok
+
+
+LEG_ROWS = ("counit leg is a module morphism", "comultiplication leg is a module morphism")
+
+
+@st.composite
+def mutated_derived_entwinings(draw) -> EntwiningData:
+    """A corpus bimonoid's own entwining with one entry of lambda0 or of the
+    comonoid's delta changed."""
+    ed = entwining_from_bimonoid(corpus_bimonoid(draw(st.sampled_from(BIMONOID_FIXTURES))))
+    maps = mutate_one(draw, {"lambda0": ed.lambda0.a, "delta": ed.comonoid.delta.a}, ed.p)
+    comonoid = ComonoidData(ed.comonoid.dim, FpMatrix(ed.p, maps["delta"]), ed.comonoid.eps)
+    return EntwiningData(ed.monoid, comonoid, FpMatrix(ed.p, maps["lambda0"]))
+
+
+def _assert_legs_match_oracle(ed: EntwiningData, x: ModuleData) -> None:
+    if not all(oracle_module(x, ed.monoid).values()):
+        with pytest.raises(PreconditionError):
+            lift_report(ed, x)
+        return
+    got = verdicts(lift_report(ed, x))
+    assert {name: got[name] for name in LEG_ROWS} == oracle_lift_legs(ed, x)
+
+
+@given(mutated_derived_entwinings())
+def test_lift_legs_match_oracle_on_mutated_entwinings(ed):
+    _assert_legs_match_oracle(ed, regular_right_module(ed.monoid))
+
+
+def test_lift_report_of_a_lift_that_is_not_a_module():
+    # the comultiplication leg once lifted the lift again, whose module
+    # precondition raised PreconditionError for these lambda0; the report
+    # now carries the failing lifted rows instead
+    a = corpus_bimonoid("kz2_f3")
+    ed = entwining_from_bimonoid(a)
+    x = regular_right_module(a.monoid)
+    not_modules = 0
+    for i, j, v in itertools.product(range(4), range(4), range(3)):
+        if v != ed.lambda0.entry(i, j):
+            bad = perturb(ed, i, j, v)
+            rep = verdicts(lift_report(bad, x))
+            lifted = verdicts(check_module(lift_comonad(bad, x), a.monoid))
+            assert {name: rep["lifted " + name] for name in lifted} == lifted
+            not_modules += not all(lifted.values())
+    assert not_modules == 32
+
+
+def test_lift_report_peaks_below_the_lift_of_the_lift():
+    # each leg's sides have dX*dC^2 x dX*dC*dA entries (d^6 for a bimonoid's
+    # own entwining); the lift of the lift, with d^7, is never built (3.3 d^6
+    # measured at d = 8; 18.1 when it was)
+    (_, a), = build_instance("group-algebra", 5, 8).roles_of("bimonoid")
+    ed = entwining_from_bimonoid(a)
+    tracemalloc.start()
+    try:
+        holds = lift_report(ed, regular_right_module(a.monoid)).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds
+    assert peak <= 4 * 8 * a.dim**6, (peak, 8 * a.dim**6)
 
 
 def test_lift_rejects_non_module():

@@ -11,7 +11,6 @@ import entwine
 from entwine.exactalg import (
     FpMatrix,
     ShapeError,
-    cokernel_basis,
     contract,
     fp_inv,
     identity,
@@ -239,17 +238,6 @@ def test_rank_nullity_on_randoms():
         m = rand_matrix(rng, p, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         assert rank(m) + kernel_basis(m).cols == m.cols
         assert (m @ kernel_basis(m)).is_zero()
-
-
-def test_cokernel_projection_on_randoms():
-    rng = np.random.default_rng(31337)
-    for _ in range(40):
-        p = int(rng.choice([2, 3, 5]))
-        m = rand_matrix(rng, p, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        proj = cokernel_basis(m)
-        assert proj.rows == m.rows - rank(m)
-        assert (proj @ m).is_zero()
-        assert rank(proj) == proj.rows
 
 
 def test_solve_consistency():

@@ -28,7 +28,7 @@ import os
 import pytest
 
 from entwine.cli import CHECK_COMMANDS, main
-from entwine.instances import fixture_path
+from entwine.instances import FIXTURES, build_instance, builders, fixture_path, serialize_instance
 
 from conftest import ALL_FIXTURES
 
@@ -375,3 +375,63 @@ def test_large_canonical_map_matches_golden_digest(tmp_path):
     assert main(list(LARGE + ("--out", str(tmp_path / (LARGE_NAME + ".json"))))) == 0
     got = outputs(str(tmp_path), LARGE_NAME, "galois-generalized")
     assert got == GOLDEN_LARGE["galois-generalized"]
+
+
+# make-instance for every kind at p = 2 and 5, orders 0, 1 and 5: exit code
+# and sha256 of stdout then stderr, errors included (order 0 of a group
+# order, sweedler at p = 2); kinds without a group order ignore --order
+MAKE_INSTANCE_GOLDEN = {
+    ("group-algebra", 2, 0): (2, "265f7fc854de0c0e6a892e295a54bcf65d3761221a2f542a962331ffda3ccf7d"),
+    ("group-algebra", 2, 1): (0, "a521a2f7ec92383a24c2136a5b7ccbf21fe54a2f529c1e28b6ec2ffeace3eecd"),
+    ("group-algebra", 2, 5): (0, "d731f3511066fd2044f48168a924e5b001e69616f4b13cd49b2eb053365acb46"),
+    ("group-algebra", 5, 0): (2, "265f7fc854de0c0e6a892e295a54bcf65d3761221a2f542a962331ffda3ccf7d"),
+    ("group-algebra", 5, 1): (0, "20d681cb7b1627a13dbea407b9655d3626e8ab0b125fcda3b8fb01d47171b9df"),
+    ("group-algebra", 5, 5): (0, "dc64c99eaac96f010b738e553604632a8217b0d7384f0171af685b11fdb9a151"),
+    ("idempotent-monoid", 2, 0): (0, "7ffc8ca827587330d367ff5e70fafb80279228d3d6f026066e0ceec1a8b73744"),
+    ("idempotent-monoid", 2, 1): (0, "7ffc8ca827587330d367ff5e70fafb80279228d3d6f026066e0ceec1a8b73744"),
+    ("idempotent-monoid", 2, 5): (0, "7ffc8ca827587330d367ff5e70fafb80279228d3d6f026066e0ceec1a8b73744"),
+    ("idempotent-monoid", 5, 0): (0, "ed4569e7c17d78043ca7959dc7fe4cc87a01c96e51bb3e9ca15b3cb76348473e"),
+    ("idempotent-monoid", 5, 1): (0, "ed4569e7c17d78043ca7959dc7fe4cc87a01c96e51bb3e9ca15b3cb76348473e"),
+    ("idempotent-monoid", 5, 5): (0, "ed4569e7c17d78043ca7959dc7fe4cc87a01c96e51bb3e9ca15b3cb76348473e"),
+    ("regular-comodule", 2, 0): (2, "265f7fc854de0c0e6a892e295a54bcf65d3761221a2f542a962331ffda3ccf7d"),
+    ("regular-comodule", 2, 1): (0, "06f49153457d3611893adebee126b61ad97483544f0929ba3887b6e454aec6e9"),
+    ("regular-comodule", 2, 5): (0, "c4834f64a7baf80a93b8138273780c55a05f5ff5c306052f91d2aef74a0850db"),
+    ("regular-comodule", 5, 0): (2, "265f7fc854de0c0e6a892e295a54bcf65d3761221a2f542a962331ffda3ccf7d"),
+    ("regular-comodule", 5, 1): (0, "351c430de89b5f27f52f976ae5155571d953967ee1ed26f8645716ce49fa6644"),
+    ("regular-comodule", 5, 5): (0, "16d79372a8b5684bdab4c40039b5708999f2cb57de149893865de80d21c80935"),
+    ("sweedler", 2, 0): (2, "1229bace3ce37bfd39df9021d661c1a59553122678c287042b6a073d71f97c3a"),
+    ("sweedler", 2, 1): (2, "1229bace3ce37bfd39df9021d661c1a59553122678c287042b6a073d71f97c3a"),
+    ("sweedler", 2, 5): (2, "1229bace3ce37bfd39df9021d661c1a59553122678c287042b6a073d71f97c3a"),
+    ("sweedler", 5, 0): (0, "cd3b91e2866d47a88c1786beb65bcee71be8303cb5b928717fb85064ddf97cd7"),
+    ("sweedler", 5, 1): (0, "cd3b91e2866d47a88c1786beb65bcee71be8303cb5b928717fb85064ddf97cd7"),
+    ("sweedler", 5, 5): (0, "cd3b91e2866d47a88c1786beb65bcee71be8303cb5b928717fb85064ddf97cd7"),
+    ("trivial", 2, 0): (0, "a521a2f7ec92383a24c2136a5b7ccbf21fe54a2f529c1e28b6ec2ffeace3eecd"),
+    ("trivial", 2, 1): (0, "a521a2f7ec92383a24c2136a5b7ccbf21fe54a2f529c1e28b6ec2ffeace3eecd"),
+    ("trivial", 2, 5): (0, "a521a2f7ec92383a24c2136a5b7ccbf21fe54a2f529c1e28b6ec2ffeace3eecd"),
+    ("trivial", 5, 0): (0, "20d681cb7b1627a13dbea407b9655d3626e8ab0b125fcda3b8fb01d47171b9df"),
+    ("trivial", 5, 1): (0, "20d681cb7b1627a13dbea407b9655d3626e8ab0b125fcda3b8fb01d47171b9df"),
+    ("trivial", 5, 5): (0, "20d681cb7b1627a13dbea407b9655d3626e8ab0b125fcda3b8fb01d47171b9df"),
+    ("trivial-coaction", 2, 0): (2, "265f7fc854de0c0e6a892e295a54bcf65d3761221a2f542a962331ffda3ccf7d"),
+    ("trivial-coaction", 2, 1): (0, "d610b50923992b66926f19ff1e14961f896ba0a11caa0ce3d87bd16716e21049"),
+    ("trivial-coaction", 2, 5): (0, "0a8d47c56221f720bd81450215a7ce195abe28d7b1893880c785a101bc5911c2"),
+    ("trivial-coaction", 5, 0): (2, "265f7fc854de0c0e6a892e295a54bcf65d3761221a2f542a962331ffda3ccf7d"),
+    ("trivial-coaction", 5, 1): (0, "e661a8639fb8c33d891b7065aa0151abf62840b7f7259ee3f5791dfee208eaed"),
+    ("trivial-coaction", 5, 5): (0, "ae3d2f36f6a3ca97119d416a7b59f109a4610c45c4c8f9dd035aad6172b6e8a4"),
+}
+
+
+@pytest.mark.parametrize("kind, p, order", sorted(MAKE_INSTANCE_GOLDEN))
+def test_make_instance_matches_golden_digest(kind, p, order):
+    argv = ("make-instance", kind, "--p", str(p), "--order", str(order))
+    assert _digest(argv) == MAKE_INSTANCE_GOLDEN[(kind, p, order)]
+
+
+def test_make_instance_table_covers_every_kind():
+    assert {kind for kind, _, _ in MAKE_INSTANCE_GOLDEN} == set(builders)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_shipped_fixture_is_its_builders_output(name):
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        shipped = fh.read()
+    assert shipped == serialize_instance(build_instance(*FIXTURES[name]))

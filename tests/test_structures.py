@@ -6,15 +6,14 @@ from hypothesis import given
 
 from entwine import structures
 from entwine.duoidal import braided_duoidal, check_bimonoid
-from entwine.exactalg import FpMatrix, identity, kron, rank, solve, inverse, cokernel_basis
+from entwine.exactalg import FpMatrix, identity, kron
 from entwine.instances import build_instance
-from entwine.report import PreconditionError, UnsupportedError
+from entwine.report import PreconditionError
 from entwine.structures import (
     BimonoidData,
     ComonoidData,
     ComoduleAlgebraData,
     ModuleComonoidData,
-    ModuleData,
     MonoidData,
     check_bialgebra,
     check_comodule_algebra,
@@ -24,10 +23,8 @@ from entwine.structures import (
     check_module_comonoid,
     check_monoid,
     check_right_comodule,
-    free_left_module,
     module_comonoid_of_coalgebra,
     regular_right_module,
-    tensor_over_A,
 )
 
 from conftest import (
@@ -334,46 +331,3 @@ def test_module_comonoid_precondition():
     with pytest.raises(PreconditionError):
         module_comonoid_of_coalgebra(broken, trivial_comonoid(3))
 
-
-# ---------------------------------------------------------------------------
-# tensor over A
-# ---------------------------------------------------------------------------
-
-def test_tensor_over_A_regular_trivial():
-    a = corpus_bimonoid("kz2_f3").monoid
-    dim, can = tensor_over_A(regular_right_module(a), a, free_left_module(a, 1))
-    assert dim == a.dim
-    assert can == a.m
-
-
-def test_tensor_over_A_rank_two_derived():
-    a = corpus_bimonoid("kz2_f3").monoid
-    n = regular_right_module(a)
-    free = free_left_module(a, 2)
-    dim, can = tensor_over_A(n, a, free)
-    assert dim == 4
-    # oracle: the coequalizer quotient computed through cokernel_basis agrees
-    # with can up to an invertible change of basis
-    p = a.p
-    lhs = kron(n.action, identity(p, free.dim))
-    rhs = kron(identity(p, n.dim), free.action)
-    difference = lhs - rhs
-    proj = cokernel_basis(difference)
-    assert proj.rows == dim == rank(can)
-    assert (can @ lhs) == (can @ rhs)
-    q = solve(proj.transpose(), can.transpose())
-    assert q is not None
-    assert inverse(q.transpose()) is not None
-
-
-def test_tensor_over_A_zero_generator_trivial():
-    a = corpus_bimonoid("kz2_f3").monoid
-    dim, can = tensor_over_A(regular_right_module(a), a, free_left_module(a, 0))
-    assert dim == 0 and can.shape == (0, 0)
-
-
-def test_tensor_over_A_rejects_non_free():
-    a = corpus_bimonoid("kz2_f3").monoid
-    non_free = ModuleData(a.dim, a.m, "left")
-    with pytest.raises(UnsupportedError):
-        tensor_over_A(regular_right_module(a), a, non_free)
