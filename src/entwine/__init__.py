@@ -67,7 +67,6 @@ from .instances import (
     InstanceError,
     InstanceFile,
     build_instance,
-    fixture_names,
     fixture_path,
     load_instance,
     serialize_instance,

@@ -59,26 +59,6 @@ def _fail(msg: str) -> int:
     return 2
 
 
-def _monoid_views(inst: InstanceFile) -> list:
-    out = []
-    for name, built in inst.roles_of("monoid"):
-        out.append((name, built))
-    for name, built in inst.roles_of("bimonoid"):
-        out.append((name, built.monoid))
-    for name, built in inst.roles_of("comodule-algebra"):
-        out.append((name, built.algebra))
-    return sorted(out, key=lambda kv: kv[0])
-
-
-def _comonoid_views(inst: InstanceFile) -> list:
-    out = []
-    for name, built in inst.roles_of("comonoid"):
-        out.append((name, built))
-    for name, built in inst.roles_of("bimonoid"):
-        out.append((name, built.comonoid))
-    return sorted(out, key=lambda kv: kv[0])
-
-
 def _need(items: list, what: str) -> list:
     if not items:
         raise InstanceError(f"instance declares no {what}")
@@ -125,10 +105,10 @@ def dispatch(command: str, inst: Optional[InstanceFile], samples=(1, 2, 3)) -> R
 
 def _run_command(command: str, inst: Optional[InstanceFile], rep: Report, samples) -> None:
     if command == "check-monoid":
-        for name, mon in _need(_monoid_views(inst), "monoid"):
+        for name, mon in _need(inst.providers("monoid"), "monoid"):
             rep.merge(structures.check_monoid(mon), prefix=f"{name}: ")
     elif command == "check-comonoid":
-        for name, com in _need(_comonoid_views(inst), "comonoid"):
+        for name, com in _need(inst.providers("comonoid"), "comonoid"):
             rep.merge(structures.check_comonoid(com), prefix=f"{name}: ")
     elif command == "check-bimonoid":
         for name, a in _need(inst.roles_of("bimonoid"), "bimonoid"):

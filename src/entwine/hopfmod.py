@@ -170,6 +170,18 @@ def _antipode_checks(a: BimonoidData, s: FpMatrix) -> Report:
     return r
 
 
+def _galois_verdict(base: FpMatrix, r: int, inverse: Optional[FpMatrix]) -> GaloisReport:
+    """The report of a canonical map of rank r; ``inverse`` is read only when
+    the map is square of full rank."""
+    rows, cols = base.shape
+    if rows != cols:
+        note = f"dimension obstruction: source dim {cols} != target dim {rows}"
+        return GaloisReport(base, r, False, note=note)
+    if r < rows:
+        return GaloisReport(base, r, False, note=f"not Galois: rank {r}/{rows}")
+    return GaloisReport(base, rows, True, inverse)
+
+
 def canonical_map_report(base: FpMatrix) -> GaloisReport:
     """Galois verdict of an assembled canonical map from one elimination.
 
@@ -180,19 +192,12 @@ def canonical_map_report(base: FpMatrix) -> GaloisReport:
     """
     rows, cols = base.shape
     if rows != cols:
-        return GaloisReport(
-            base,
-            rank(base),
-            False,
-            note=f"dimension obstruction: source dim {cols} != target dim {rows}",
-        )
+        return _galois_verdict(base, rank(base), None)
     red, _, pivots = rref(
         FpMatrix._reduced(base.p, np.hstack([base.a, np.eye(rows, dtype=np.int64)]))
     )
     r = sum(1 for c in pivots if c < cols)
-    if r < rows:
-        return GaloisReport(base, r, False, note=f"not Galois: rank {r}/{rows}")
-    return GaloisReport(base, rows, True, FpMatrix._reduced(base.p, red.a[:, cols:]))
+    return _galois_verdict(base, r, FpMatrix._reduced(base.p, red.a[:, cols:]) if r == rows else None)
 
 
 def galois_map_beta(a: BimonoidData, want_antipode: bool = True) -> GaloisReport:
@@ -220,15 +225,26 @@ def galois_map_generalized(b: ComoduleAlgebraData, c: ComonoidData) -> GaloisRep
 
     Invertibility requires dim B = dim A; otherwise the report carries the
     dimension obstruction.  By representability this single base matrix
-    decides the "isomorphism at every object" condition.
+    decides the "isomorphism at every object" condition.  As can is
+    t (x) I_C up to leg order, it is decided on t: rank can = dim C * rank t,
+    and can^{-1} = t^{-1} (x) I_C.
     """
     require("bimonoid", b.over.axioms)
     require("comodule algebra", b.axioms)
     da, db, dc = b.over.dim, b.algebra.dim, c.dim
-    # t[(a, y), (b, b')] = sum rho[(a, b0), b] m_B[y, b0, b']; the C leg passes as delta_{c', c}
+    # t[(a, y), (b, b')] = sum rho[(a, b0), b] m_B[y, b0, b']
     t = contract("ak|b,y|kv->ay|bv", b.rho, b.algebra.m, dict(a=da, k=db, b=db, y=db, v=db))
-    can = t.a.reshape(da, 1, db, db, 1, db) * np.eye(dc, dtype=np.int64).reshape(1, dc, 1, 1, dc, 1)
-    return canonical_map_report(FpMatrix._reduced(c.p, can.reshape(da * dc * db, db * dc * db)))
+    g = canonical_map_report(t)
+
+    def along_c(m: FpMatrix, r1: int, c1: int) -> FpMatrix:
+        # m[(x, y), (u, v)] delta_{c', c} as [(x, c', y), (u, c, v)], the C leg second
+        out = m.a.reshape(r1, 1, db, c1, 1, db) * np.eye(dc, dtype=np.int64).reshape(1, dc, 1, 1, dc, 1)
+        return FpMatrix._reduced(m.p, out.reshape(r1 * dc * db, c1 * dc * db))
+
+    can = along_c(t, da, db)
+    # with dim C = 0, can is the empty map, its own inverse
+    inverse = along_c(g.inverse, db, da) if g.invertible else can if dc == 0 else None
+    return _galois_verdict(can, dc * g.rank, inverse)
 
 
 # ---------------------------------------------------------------------------

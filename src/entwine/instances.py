@@ -46,20 +46,9 @@ __all__ = [
     "builders",
     "build_instance",
     "fixture_path",
-    "fixture_names",
 ]
 
 DEFAULT_MAX_DIM = 64
-
-ROLE_KINDS = (
-    "monoid",
-    "comonoid",
-    "bimonoid",
-    "comodule-algebra",
-    "hopf-module",
-    "entwining",
-)
-
 
 class InstanceError(ValueError):
     """Malformed instance file or role/shape violation (CLI exit 2)."""
@@ -75,6 +64,12 @@ class InstanceFile:
     warnings: list = field(default_factory=list)
     resolved: dict = field(default_factory=dict)
     source: str = "<memory>"
+
+    def providers(self, half: str) -> list:
+        """(name, structure) for every role that provides a ``half``
+        ("monoid" or "comonoid"), in name order."""
+        found = ((name, _provided(built, half)) for name, built in sorted(self.resolved.items()))
+        return [(name, got) for name, got in found if got is not None]
 
     def roles_of(self, kind: str) -> list:
         out = [
@@ -138,108 +133,89 @@ def _load_matrix(p: int, name: str, decl, warnings: list) -> FpMatrix:
     except OverflowError:  # an entry outside int64: reduce the Python ints first
         a, outside = np.array([x % p for x in entries], dtype=np.int64), True
     if outside:
+        np.mod(a, p, out=a)
         warnings.append(f"map {name!r}: entries outside [0, {p}) reduced mod {p}")
-    return FpMatrix(p, a.reshape(rows, cols))
+    return FpMatrix._reduced(p, a.reshape(rows, cols))
+
+
+def _provided(built, half: str):
+    """The ``half`` ("monoid" or "comonoid") that a resolved role provides, or
+    None: a bimonoid provides either half, a comodule algebra its algebra, and
+    a monoid or comonoid itself."""
+    if isinstance(built, BimonoidData):
+        return getattr(built, half)
+    if isinstance(built, ComoduleAlgebraData):
+        built = built.algebra
+    return built if isinstance(built, MonoidData if half == "monoid" else ComonoidData) else None
+
+
+def _hopf_module(d: int, over: BimonoidData, h: FpMatrix, theta: FpMatrix) -> HopfModuleData:
+    for what, got, want in (("action", h, (d, d * over.dim)), ("coaction", theta, (d * over.dim, d))):
+        if got.shape != want:
+            raise ShapeError(f"{what} must have shape {want}, got {got.shape}")
+    return HopfModuleData(d, h, theta)
+
+
+# Per role kind, the fields it reads, in order, and its constructor on their
+# values.  A field is "object" (its dimension), a role reference (_ROLE_REFS),
+# the optional "side", or else a map slot.
+_ROLES = {
+    "monoid": (("object", "m", "e"), MonoidData),
+    "comonoid": (("object", "delta", "eps"), ComonoidData),
+    "bimonoid": (
+        ("object", "m", "e", "delta", "eps"),
+        lambda d, m, e, delta, eps: BimonoidData(MonoidData(d, m, e), ComonoidData(d, delta, eps)),
+    ),
+    "comodule-algebra": (
+        ("object", "m", "e", "over", "rho"),
+        lambda d, m, e, over, rho: ComoduleAlgebraData(MonoidData(d, m, e), over, rho),
+    ),
+    "hopf-module": (("object", "over", "action", "coaction"), _hopf_module),
+    "entwining": (("monoid", "comonoid", "lambda0", "side"), EntwiningData),
+}
+ROLE_KINDS = tuple(_ROLES)
+_ROLE_REFS = ("over", "monoid", "comonoid")
+# kinds resolved after every role that references no other role
+_REFERRING = tuple(kind for kind, (fields, _) in _ROLES.items() if any(f in _ROLE_REFS for f in fields))
+
+
+def _role_field(inst: InstanceFile, name: str, decl: dict, key: str):
+    """The value of one field of role ``name``: its object's dimension, what a
+    referenced role provides, its side, or a map."""
+    if key == "side":
+        return decl.get(key, "right")
+    slot = key != "object" and key not in _ROLE_REFS
+    _require(key in decl, f"role {name!r} is missing {'map slot ' if slot else ''}{key!r}")
+    ref = decl[key]
+    if key == "object":
+        _require(ref in inst.objects, f"role {name!r}: unknown object {ref!r}")
+        return inst.objects[ref]
+    if key == "over":
+        _require(
+            isinstance(inst.resolved.get(ref), BimonoidData),
+            f"role {name!r}: 'over' must reference a bimonoid role, got {ref!r}",
+        )
+        return inst.resolved[ref]
+    if key in _ROLE_REFS:
+        _require(ref in inst.resolved, f"role {name!r}: unknown role {ref!r}")
+        half = _provided(inst.resolved[ref], key)
+        _require(half is not None, f"role {name!r}: {ref!r} does not provide a {key}")
+        return half
+    _require(ref in inst.maps, f"role {name!r}: unknown map {ref!r}")
+    return inst.maps[ref]
 
 
 def _resolve_roles(inst: InstanceFile) -> None:
-    """Build the typed structure objects for every role, enforcing shape
-    constraints; dependency order is monoid-like roles first."""
-
-    def obj_dim(role_name: str, decl: dict) -> int:
-        _require("object" in decl, f"role {role_name!r} is missing 'object'")
-        name = decl["object"]
-        _require(name in inst.objects, f"role {role_name!r}: unknown object {name!r}")
-        return inst.objects[name]
-
-    def get_map(role_name: str, decl: dict, slot: str) -> FpMatrix:
-        _require(slot in decl, f"role {role_name!r} is missing map slot {slot!r}")
-        ref = decl[slot]
-        _require(ref in inst.maps, f"role {role_name!r}: unknown map {ref!r}")
-        return inst.maps[ref]
-
-    def build_simple(name: str, decl: dict):
-        kind = decl["kind"]
-        try:
-            if kind == "monoid":
-                return MonoidData(obj_dim(name, decl), get_map(name, decl, "m"), get_map(name, decl, "e"))
-            if kind == "comonoid":
-                return ComonoidData(
-                    obj_dim(name, decl), get_map(name, decl, "delta"), get_map(name, decl, "eps")
-                )
-            if kind == "bimonoid":
-                d = obj_dim(name, decl)
-                return BimonoidData(
-                    MonoidData(d, get_map(name, decl, "m"), get_map(name, decl, "e")),
-                    ComonoidData(d, get_map(name, decl, "delta"), get_map(name, decl, "eps")),
-                )
-        except ShapeError as exc:
-            raise InstanceError(f"role {name!r}: {exc}") from exc
-        return None
-
-    for name, decl in sorted(inst.roles.items()):
-        _require(isinstance(decl, dict), f"role {name!r} must be an object")
+    """Build the typed structure of every role, enforcing shape constraints:
+    first the roles that reference no other role, then the rest, each group
+    in name order.  A role references only roles resolved before it."""
+    for name in sorted(inst.roles, key=lambda n: (inst.roles[n].get("kind") in _REFERRING, n)):
+        decl = inst.roles[name]
         _require(decl.get("kind") in ROLE_KINDS, f"role {name!r}: unknown kind {decl.get('kind')!r}")
-        built = build_simple(name, decl)
-        if built is not None:
-            inst.resolved[name] = built
-
-    def base_bimonoid(name: str, decl: dict) -> BimonoidData:
-        _require("over" in decl, f"role {name!r} is missing 'over'")
-        over = decl["over"]
-        _require(
-            over in inst.resolved and isinstance(inst.resolved[over], BimonoidData),
-            f"role {name!r}: 'over' must reference a bimonoid role, got {over!r}",
-        )
-        return inst.resolved[over]
-
-    for name, decl in sorted(inst.roles.items()):
-        kind = decl["kind"]
+        fields, build = _ROLES[decl["kind"]]
+        values = [_role_field(inst, name, decl, key) for key in fields]
         try:
-            if kind == "comodule-algebra":
-                d = obj_dim(name, decl)
-                alg = MonoidData(d, get_map(name, decl, "m"), get_map(name, decl, "e"))
-                inst.resolved[name] = ComoduleAlgebraData(
-                    alg, base_bimonoid(name, decl), get_map(name, decl, "rho")
-                )
-            elif kind == "hopf-module":
-                d = obj_dim(name, decl)
-                over = base_bimonoid(name, decl)
-                h = get_map(name, decl, "action")
-                theta = get_map(name, decl, "coaction")
-                _require(
-                    h.shape == (d, d * over.dim),
-                    f"role {name!r}: action must have shape {(d, d * over.dim)}, got {h.shape}",
-                )
-                _require(
-                    theta.shape == (d * over.dim, d),
-                    f"role {name!r}: coaction must have shape {(d * over.dim, d)}, got {theta.shape}",
-                )
-                inst.resolved[name] = HopfModuleData(d, h, theta)
-            elif kind == "entwining":
-                for slot in ("monoid", "comonoid"):
-                    _require(slot in decl, f"role {name!r} is missing {slot!r}")
-                mon_ref, com_ref = decl["monoid"], decl["comonoid"]
-                _require(mon_ref in inst.resolved, f"role {name!r}: unknown role {mon_ref!r}")
-                _require(com_ref in inst.resolved, f"role {name!r}: unknown role {com_ref!r}")
-                mon = inst.resolved[mon_ref]
-                com = inst.resolved[com_ref]
-                if isinstance(mon, BimonoidData):
-                    mon = mon.monoid
-                if isinstance(com, BimonoidData):
-                    com = com.comonoid
-                _require(
-                    isinstance(mon, MonoidData),
-                    f"role {name!r}: {mon_ref!r} does not provide a monoid",
-                )
-                _require(
-                    isinstance(com, ComonoidData),
-                    f"role {name!r}: {com_ref!r} does not provide a comonoid",
-                )
-                side = decl.get("side", "right")
-                inst.resolved[name] = EntwiningData(
-                    mon, com, get_map(name, decl, "lambda0"), side
-                )
+            inst.resolved[name] = build(*values)
         except ShapeError as exc:
             raise InstanceError(f"role {name!r}: {exc}") from exc
 
@@ -477,10 +453,6 @@ FIXTURES = {
     "regular_comodule_f3": ("regular-comodule", 3, 2),
     "trivial_coaction_f3": ("trivial-coaction", 3, 2),
 }
-
-
-def fixture_names() -> list:
-    return sorted(FIXTURES)
 
 
 def fixture_path(name: str) -> str:

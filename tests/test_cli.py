@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import os
 import resource
@@ -126,6 +127,93 @@ def test_unknown_role_kind():
     raw["roles"]["odd"] = {"kind": "mystery"}
     with pytest.raises(InstanceError):
         instance_from_dict(raw)
+
+
+KINDS = ("monoid", "comonoid", "bimonoid", "comodule-algebra", "hopf-module", "entwining")
+
+
+def _fixture_raw(name):
+    with open(fixture_path(name), "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _role_mutations(raw):
+    """One-fault edits of an instance: every field of every role deleted, set
+    to an unknown name and to every role, map and object name; every role's
+    kind set to each kind and to an unknown one, its side to left and to an
+    invalid value; every object's dimension set to 0, 1 and 3."""
+    names = sorted(raw["roles"]) + sorted(raw["maps"]) + sorted(raw["objects"])
+    for role, decl in sorted(raw["roles"].items()):
+        for key in sorted(decl):
+            yield "roles", role, key, None
+            for value in ("nosuch",) + tuple(names):
+                yield "roles", role, key, value
+        for value in KINDS + ("nosuch-kind",):
+            yield "roles", role, "kind", value
+        for value in ("left", "sideways"):
+            yield "roles", role, "side", value
+    for obj in sorted(raw["objects"]):
+        for d in (0, 1, 3):
+            yield "objects", obj, None, d
+
+
+def _load_outcome(raw):
+    try:
+        inst = instance_from_dict(raw)
+    except Exception as exc:  # the exception type is part of the outcome
+        return f"{type(exc).__name__}: {exc}"
+    return "ok " + " ".join(f"{name}={type(built).__name__}" for name, built in sorted(inst.resolved.items()))
+
+
+def test_loader_outcomes_under_role_mutations():
+    # every one-fault edit of every fixture's roles and objects, pinned by one
+    # digest of the outcomes: resolved types, or the exception and its message
+    lines = []
+    for name in ALL_FIXTURES:
+        base = _fixture_raw(name)
+        for section, target, key, value in _role_mutations(base):
+            raw = _fixture_raw(name)
+            if section == "objects":
+                raw["objects"][target] = value
+            elif value is None:
+                del raw["roles"][target][key]
+            else:
+                raw["roles"][target][key] = value
+            lines.append(f"{name} {section} {target} {key} {value!r} -> {_load_outcome(raw)}")
+    assert len(lines) == 1518
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "09c2cd0f96ad8945cd3db3194d8b8591464b7a22ee40b49015f3f431fbccf5c1", digest
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    (
+        ("regular_comodule_f3", lambda roles: roles["B"].pop("over"), "role 'B' is missing 'over'"),
+        (
+            "regular_comodule_f3",
+            lambda roles: roles["B"].update(over="C"),
+            "role 'B': 'over' must reference a bimonoid role, got 'C'",
+        ),
+        (
+            "regular_comodule_f3",
+            lambda roles: roles.update(E={"kind": "entwining", "monoid": "A", "comonoid": "B", "lambda0": "m"}),
+            "role 'E': 'B' does not provide a comonoid",
+        ),
+        (
+            "kz2_f3",
+            lambda roles: roles["regular"].update(action="lambda0"),
+            "role 'regular': action must have shape (2, 4), got (4, 4)",
+        ),
+        ("kz2_f3", lambda roles: roles["A"].update(kind="nosuch"), "role 'A': unknown kind 'nosuch'"),
+    ),
+    ids=("missing-over", "over-not-bimonoid", "no-comonoid", "action-shape", "unknown-kind"),
+)
+def test_role_fault_messages(name, edit, message):
+    raw = _fixture_raw(name)
+    edit(raw["roles"])
+    with pytest.raises(InstanceError) as err:
+        instance_from_dict(raw)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +634,41 @@ def test_search_cap_exits_two(capsys, tmp_path):
     (
         ("galois-generalized", "regular_comodule_f3", 0),
         ("galois-generalized", "trivial_coaction_f3", 1),
+        ("galois-generalized", "wide_C", 0),
         ("galois-dual", "m2_f2", 1),
     ),
 )
-def test_canonical_map_reduced_once(monkeypatch, capsys, command, name, code):
+def test_canonical_map_reduced_once(monkeypatch, capsys, tmp_path, command, name, code):
+    # one elimination: of [M | I] for a square map M, else of M itself;
+    # galois-generalized decides on t, of shape (dA*dB, dB*dB) whatever dim C is
+    path = fixture_path(name)
+    if name == "wide_C":  # regular_comodule_f3 with C = A, so the map can is 8x8
+        raw = _fixture_raw("regular_comodule_f3")
+        raw["roles"]["C"] = {"kind": "comonoid", "object": "A", "delta": "delta", "eps": "eps"}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(raw))
     calls = _count_calls(monkeypatch, exactalg, "rref")
-    assert run(capsys, command, fixture_path(name), "--json")[0] == code
+    got, out, _ = run(capsys, command, str(path), "--json")
+    assert got == code
     assert len(calls) == 1
+    assert calls[0][0].shape == ((2, 1) if name == "trivial_coaction_f3" else (4, 8))
+    if name == "wide_C":
+        assert json.loads(out)["checks"][0]["name"] == "can invertible (rank 8/8)"
+
+
+def test_entwining_of_a_comodule_algebra(tmp_path, capsys):
+    # a comodule algebra provides its algebra to an entwining, as it does to
+    # check-monoid; with C one-dimensional, lambda0 = I is an entwining
+    raw = _fixture_raw("regular_comodule_f3")
+    raw["maps"]["I2"] = {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}
+    raw["roles"]["lambda"] = {"kind": "entwining", "monoid": "B", "comonoid": "C", "lambda0": "I2"}
+    path = tmp_path / "entwined.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "check-entwining", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert all(c["verdict"] == "PASS" for c in json.loads(out)["checks"])
+    code, out, _ = run(capsys, "check-monoid", str(path))
+    assert code == 0 and "B: " in out
 
 
 # ---------------------------------------------------------------------------
