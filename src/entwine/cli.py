@@ -123,11 +123,9 @@ def _run_command(command: str, inst: Optional[InstanceFile], rep: Report, sample
             rep.merge(structures.check_comonoid(ed.comonoid), prefix=f"{name}: comonoid ")
             rep.merge(check_entwining(ed), prefix=f"{name}: ")
     elif command == "check-hopf-module":
-        bims = dict(inst.roles_of("bimonoid"))
+        over = {name: a for b, a in inst.roles_of("bimonoid") for name, _ in inst.modules_over(b)}
         for name, m in _need(inst.roles_of("hopf-module"), "hopf-module"):
-            over = inst.roles[name]["over"]
-            ed = entwining_from_bimonoid(bims[over])
-            rep.merge(check_hopf_module(m, ed), prefix=f"{name}: ")
+            rep.merge(check_hopf_module(m, entwining_from_bimonoid(over[name])), prefix=f"{name}: ")
     elif command == "derive-entwining":
         for name, a in _need(inst.roles_of("bimonoid"), "bimonoid"):
             pre = a.axioms
@@ -150,8 +148,8 @@ def _run_command(command: str, inst: Optional[InstanceFile], rep: Report, sample
         _, a = _one(inst.roles_of("bimonoid"), "bimonoid", command)
         _galois_checks(rep, "beta' ", galois_map_Kprime(a, braided_duoidal(inst.field_p)))
     elif command == "fundamental-theorem":
-        extras = [m for _, m in inst.roles_of("hopf-module")]
         for name, a in _need(inst.roles_of("bimonoid"), "bimonoid"):
+            extras = [m for _, m in inst.modules_over(name)]
             rep.merge(
                 verify_fundamental_theorem(a, sample_dims=tuple(samples), extras=extras),
                 prefix=f"{name}: ",

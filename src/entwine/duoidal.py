@@ -14,7 +14,8 @@ large component is applied without being built.  Only the braided instance
 (both products the plain tensor product, zeta the middle transposition) is
 concretely constructible here; the context is an interface that
 check_duoidal reads through zeta alone, while check_bimonoid computes law
-(I) for the middle transposition and refuses any other interchange.
+(I) for the middle transposition and refuses any other interchange; both
+refuse units that are not one-dimensional.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ from .exactalg import (
 )
 from .hopfmod import GaloisReport, canonical_map_report
 from .report import Report, UnsupportedError, require
-from .structures import BimonoidData, _bimonoid_diagrams, _middle_transposition
+from .structures import (
+    BimonoidData, ComonoidData, MonoidData, _bimonoid_diagrams, _middle_transposition, check_comonoid,
+    check_monoid,
+)
 
 __all__ = [
     "DuoidalCtx",
@@ -89,6 +93,12 @@ def braided_duoidal(p: int) -> DuoidalCtx:
 # coherence checks
 # ---------------------------------------------------------------------------
 
+def _require_unit_lines(ctx: DuoidalCtx, what: str) -> None:
+    """Refuse (UnsupportedError) a context whose units I and J are not lines."""
+    if ctx.dim_i != 1 or ctx.dim_j != 1:
+        raise UnsupportedError(f"{what} is implemented for contexts with 1-dimensional units")
+
+
 def _natural_in(z: FpMatrix, legs, slot: int) -> bool:
     """Whether the zeta component z at legs (W, X, Y, Z) commutes with every
     map on leg ``slot``.  With the target legs (W, Y, X, Z) put back in
@@ -109,31 +119,22 @@ def check_duoidal(ctx: DuoidalCtx, probe_dims=(1, 2)) -> Report:
     """Unit-compatibility structures plus interchange coherence, evaluated as
     matrix identities on every probe-dimension tuple.
 
-    Coherence checked: naturality of zeta in each slot against every map on
-    that slot (decided as a leg factorisation, see _natural_in), the two
-    associativity nestings, and the four unit squares through Delta and mu.
-    Each zeta component is read once per call.
+    The units' laws are check_monoid's and check_comonoid's, so both units
+    must be one-dimensional (else UnsupportedError).  Coherence checked:
+    naturality of zeta in each slot against every map on that slot (decided
+    as a leg factorisation, see _natural_in), the two associativity
+    nestings, and the four unit squares through Delta and mu.  Each zeta
+    component is read once per call.
     """
     dims = tuple(probe_dims)
     if not dims or min(dims) < 1:
         raise ShapeError(f"probe dimensions must be a nonempty tuple of positive ints, got {dims}")
+    _require_unit_lines(ctx, "duoidal checking")
     r = Report("duoidal context", subject=ctx.tag)
     p, di, dj = ctx.p, ctx.dim_i, ctx.dim_j
     eye = cache(lambda n: identity(p, n))
-    ii, ij = eye(di), eye(dj)
-
-    r.require_equal(
-        "(J, mu, tau) associativity", ctx.mu @ kron(ctx.mu, ij), ctx.mu @ kron(ij, ctx.mu)
-    )
-    r.require_equal("(J, mu, tau) left unit", ctx.mu @ kron(ctx.tau, ij), ij)
-    r.require_equal("(J, mu, tau) right unit", ctx.mu @ kron(ij, ctx.tau), ij)
-    r.require_equal(
-        "(I, Delta, tau) coassociativity",
-        kron(ctx.Delta, ii) @ ctx.Delta,
-        kron(ii, ctx.Delta) @ ctx.Delta,
-    )
-    r.require_equal("(I, Delta, tau) left counit", kron(ctx.tau, ii) @ ctx.Delta, ii)
-    r.require_equal("(I, Delta, tau) right counit", kron(ii, ctx.tau) @ ctx.Delta, ii)
+    r.merge(check_monoid(MonoidData(dj, ctx.mu, ctx.tau)), prefix="(J, mu, tau) ")
+    r.merge(check_comonoid(ComonoidData(di, ctx.Delta, ctx.tau)), prefix="(I, Delta, tau) ")
 
     @cache
     def component(*legs) -> FpMatrix:
@@ -200,10 +201,7 @@ def check_bimonoid(a: BimonoidData, ctx: DuoidalCtx) -> Report:
     Assumes the underlying monoid and comonoid already check."""
     if ctx.p != a.p:
         raise ShapeError(f"context over F_{ctx.p}, bimonoid over F_{a.p}")
-    if ctx.dim_i != 1 or ctx.dim_j != 1:
-        raise UnsupportedError(
-            "bimonoid checking is implemented for contexts with 1-dimensional units"
-        )
+    _require_unit_lines(ctx, "bimonoid checking")
     if ctx.zeta is not _middle_transposition:
         raise UnsupportedError(f"bimonoid checking needs the middle transposition, not {ctx.tag!r}'s zeta")
     r = Report("bimonoid diagrams", subject=ctx.tag)

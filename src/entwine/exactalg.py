@@ -366,21 +366,28 @@ def rank(m: FpMatrix) -> int:
     return rref(m)[1]
 
 
-def solve(m: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
-    """Particular solution X of ``m @ X == b`` (free variables set to zero).
-
-    Returns None when the system is inconsistent.
-    """
+def _solve(m: FpMatrix, b: FpMatrix) -> tuple:
+    """``(rank of m, X)`` from one reduction of [m | b]: X solves ``m @ X == b``
+    with free variables zero, or is None when no solution exists.  The pivots
+    left of ``m.cols`` are rref(m)'s, and at full column rank X is the right
+    block of the reduction itself, a view."""
     m._match(b)
     if m.rows != b.rows:
         raise ShapeError(f"row mismatch: {m.rows} vs {b.rows}")
-    aug = FpMatrix(m.p, np.hstack([m.a, b.a]))
-    red, _, pivots = rref(aug)
-    if any(c >= m.cols for c in pivots):
-        return None
-    x = np.zeros((m.cols, b.cols), dtype=np.int64)
-    x[list(pivots)] = red.a[:len(pivots), m.cols:]
-    return FpMatrix._reduced(m.p, x)
+    red, _, pivots = rref(FpMatrix._reduced(m.p, np.hstack([m.a, b.a])))
+    r = sum(1 for c in pivots if c < m.cols)
+    if r < len(pivots):
+        return r, None
+    x = red.a[:r, m.cols:]
+    if r < m.cols:
+        x = np.zeros((m.cols, b.cols), dtype=np.int64)
+        x[list(pivots)] = red.a[:r, m.cols:]
+    return r, FpMatrix._reduced(m.p, x)
+
+
+def solve(m: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
+    """Particular solution X of ``m @ X == b`` (free variables zero), or None."""
+    return _solve(m, b)[1]
 
 
 def right_inverse(m: FpMatrix) -> Optional[FpMatrix]:

@@ -27,14 +27,13 @@ from .exactalg import (
     FpMatrix,
     ShapeError,
     _product,
+    _solve,
     contract,
     identity,
-    inverse,
     kernel_basis,
     kron,
     left_inverse,
     rank,
-    rref,
     solve,
 )
 from .report import Report, UnsupportedError, require
@@ -183,21 +182,11 @@ def _galois_verdict(base: FpMatrix, r: int, inverse: Optional[FpMatrix]) -> Galo
 
 
 def canonical_map_report(base: FpMatrix) -> GaloisReport:
-    """Galois verdict of an assembled canonical map from one elimination.
-
-    A square map is reduced once as [M | I]: columns are scanned left to
-    right, so the pivots in the left block are exactly those of rref(M),
-    their count is the rank, and at full rank the right block is M^{-1}.
-    A non-square map only has its rank taken.
-    """
-    rows, cols = base.shape
-    if rows != cols:
+    """Galois verdict of an assembled canonical map: a square map M with its
+    inverse from the one reduction solving M X = I, any other from its rank."""
+    if base.rows != base.cols:
         return _galois_verdict(base, rank(base), None)
-    red, _, pivots = rref(
-        FpMatrix._reduced(base.p, np.hstack([base.a, np.eye(rows, dtype=np.int64)]))
-    )
-    r = sum(1 for c in pivots if c < cols)
-    return _galois_verdict(base, r, FpMatrix._reduced(base.p, red.a[:, cols:]) if r == rows else None)
+    return _galois_verdict(base, *_solve(base, identity(base.p, base.rows)))
 
 
 def galois_map_beta(a: BimonoidData, want_antipode: bool = True) -> GaloisReport:
@@ -335,7 +324,7 @@ def _counit_map(m: HopfModuleData, inc: FpMatrix, da: int) -> FpMatrix:
 
 
 def _is_iso(m: Optional[FpMatrix]) -> bool:
-    return m is not None and m.rows == m.cols and inverse(m) is not None
+    return m is not None and m.rows == m.cols == rank(m)
 
 
 def verify_fundamental_theorem(

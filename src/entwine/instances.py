@@ -79,6 +79,11 @@ class InstanceFile:
         ]
         return out
 
+    def modules_over(self, bimonoid: str) -> list:
+        """(name, module) for every Hopf-module role over the bimonoid role
+        ``bimonoid``, in name order."""
+        return [(name, m) for name, m in self.roles_of("hopf-module") if self.roles[name]["over"] == bimonoid]
+
     def labels_for(self, obj: str) -> Optional[list]:
         if isinstance(self.meta, dict):
             labels = self.meta.get("labels", {})
@@ -187,6 +192,7 @@ def _role_field(inst: InstanceFile, name: str, decl: dict, key: str):
     slot = key != "object" and key not in _ROLE_REFS
     _require(key in decl, f"role {name!r} is missing {'map slot ' if slot else ''}{key!r}")
     ref = decl[key]
+    _require(isinstance(ref, str), f"role {name!r}: field {key!r} must be a string, got {ref!r}")
     if key == "object":
         _require(ref in inst.objects, f"role {name!r}: unknown object {ref!r}")
         return inst.objects[ref]

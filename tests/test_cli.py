@@ -205,8 +205,23 @@ def test_loader_outcomes_under_role_mutations():
             "role 'regular': action must have shape (2, 4), got (4, 4)",
         ),
         ("kz2_f3", lambda roles: roles["A"].update(kind="nosuch"), "role 'A': unknown kind 'nosuch'"),
+        # a list or an object is a malformed reference, not an internal defect
+        ("kz2_f3", lambda roles: roles["A"].update(m=["m"]), "role 'A': field 'm' must be a string, got ['m']"),
+        (
+            "kz2_f3",
+            lambda roles: roles["A"].update(object={"A": 1}),
+            "role 'A': field 'object' must be a string, got {'A': 1}",
+        ),
+        (
+            "kz2_f3",
+            lambda roles: roles["regular"].update(over=["A"]),
+            "role 'regular': field 'over' must be a string, got ['A']",
+        ),
     ),
-    ids=("missing-over", "over-not-bimonoid", "no-comonoid", "action-shape", "unknown-kind"),
+    ids=(
+        "missing-over", "over-not-bimonoid", "no-comonoid", "action-shape", "unknown-kind",
+        "list-map", "object-object", "list-role",
+    ),
 )
 def test_role_fault_messages(name, edit, message):
     raw = _fixture_raw(name)
@@ -238,6 +253,37 @@ def test_fundamental_theorem_exit_codes(capsys):
     assert code == 0
     code, _, _ = run(capsys, "fundamental-theorem", fixture_path("m2_f2"), "--samples", "1,2")
     assert code == 1
+
+
+def test_fundamental_theorem_reads_only_the_modules_over_each_bimonoid(tmp_path, capsys):
+    # kz2_f3 and a second bimonoid B, the same algebra in the basis (u, u+g);
+    # the regular module is over A, so B's report has no extra-module rows
+    raw = _fixture_raw("kz2_f3")
+    maps = load_instance(fixture_path("kz2_f3")).maps
+    to_old = FpMatrix(3, [[1, 1], [0, 1]])
+    to_new = exactalg.inverse(to_old)
+    b_maps = {
+        "mB": to_new @ maps["m"] @ exactalg.kron(to_old, to_old),
+        "eB": to_new @ maps["e"],
+        "deltaB": exactalg.kron(to_new, to_new) @ maps["delta"] @ to_old,
+        "epsB": maps["eps"] @ to_old,
+    }
+    raw["objects"]["B"] = 2
+    for k, v in b_maps.items():
+        raw["maps"][k] = {"rows": v.rows, "cols": v.cols, "entries": v.entries_rowmajor()}
+    raw["roles"]["B"] = {"kind": "bimonoid", "object": "B", **{k[:-1]: k for k in b_maps}}
+    path = tmp_path / "two_bimonoids.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, "fundamental-theorem", str(path), "--json")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert [n for n in names if "extra module" in n] == [
+        "A: extra module 0 is a Hopf module",
+        "A: counit map of extra module 0 is an isomorphism",
+    ]
+    assert any(n.startswith("B: ") for n in names)
+    code, _, _ = run(capsys, "check-hopf-module", str(path))
+    assert code == 0
 
 
 def test_generalized_exit_codes(capsys):

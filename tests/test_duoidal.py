@@ -117,8 +117,9 @@ def test_zeta_components_read_once_per_call():
 
 
 def test_nestings_build_no_kronecker_products(monkeypatch):
-    # 8 in the unit-structure rows and 16 in the unit squares; the 256
-    # nesting routes are products of two cached components
+    # 16 in the unit squares; the unit-structure rows are check_monoid's and
+    # check_comonoid's contractions, and the 256 nesting routes are products
+    # of two cached components
     calls = []
     kron = duoidal.kron
 
@@ -128,7 +129,7 @@ def test_nestings_build_no_kronecker_products(monkeypatch):
 
     monkeypatch.setattr(duoidal, "kron", counted)
     assert check_duoidal(braided_duoidal(5), probe_dims=(1, 2)).ok
-    assert len(calls) <= 24
+    assert len(calls) <= 16
 
 
 @st.composite
@@ -265,14 +266,28 @@ def test_zero_tau_splits_neither_way():
     assert not out["split_mono"] and not out["split_epi"]
 
 
-def test_unit_embedding_tau_splits_one_way():
-    # I one-dimensional, J two-dimensional, tau the unit column: a retraction
-    # exists but rank 1 < 2 rules out a section
+def unit_embedding_context() -> DuoidalCtx:
+    # I one-dimensional, J two-dimensional, tau the unit column
     a = corpus_bimonoid("kz2_f3")
-    ctx = DuoidalCtx("hypothetical", 3, 1, 2, braided_duoidal(3).zeta, identity(3, 1), a.m, a.e)
+    return DuoidalCtx("hypothetical", 3, 1, 2, braided_duoidal(3).zeta, identity(3, 1), a.m, a.e)
+
+
+def test_unit_embedding_tau_splits_one_way():
+    # a retraction exists but rank 1 < 2 rules out a section
+    ctx = unit_embedding_context()
     out = tau_splitting(ctx)
     assert out["split_mono"] and not out["split_epi"]
     assert (out["retraction"] @ ctx.tau).is_identity()
+
+
+def test_checkers_refuse_units_that_are_not_lines():
+    # tau is the unit of J and the counit of I only when both are lines;
+    # a two-dimensional J is outside what either checker decides
+    ctx = unit_embedding_context()
+    with pytest.raises(UnsupportedError, match="duoidal checking is implemented for contexts"):
+        check_duoidal(ctx)
+    with pytest.raises(UnsupportedError, match="bimonoid checking is implemented for contexts"):
+        check_bimonoid(corpus_bimonoid("kz2_f3"), ctx)
 
 
 # ---------------------------------------------------------------------------

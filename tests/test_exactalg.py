@@ -11,6 +11,7 @@ import entwine
 from entwine.exactalg import (
     FpMatrix,
     ShapeError,
+    _solve,
     contract,
     fp_inv,
     identity,
@@ -26,6 +27,7 @@ from entwine.exactalg import (
     swap_matrix,
     zeros,
 )
+from entwine.hopfmod import canonical_map_report
 
 from oracles import oracle_rref
 
@@ -96,13 +98,14 @@ def test_rref_idempotent_on_randoms():
 
 
 @st.composite
-def matrices_of_known_rank(draw) -> tuple:
+def matrices_of_known_rank(draw, primes=(2, 3, 5, 2**31 - 1), square=False) -> tuple:
     """(M, k): M = L @ U with L = rows x k and U = k x cols random factors,
     each carrying an identity block so that M has rank exactly k, then rows
     and columns shuffled.  Shapes include 0 rows or 0 columns, wide and
-    tall, and k runs over every rank from 0 to full."""
-    p = draw(st.sampled_from((2, 3, 5, 2**31 - 1)))
-    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    tall (unless ``square``), and k runs over every rank from 0 to full."""
+    p = draw(st.sampled_from(primes))
+    rows = draw(st.integers(0, 9))
+    cols = rows if square else draw(st.integers(0, 9))
     k = draw(st.integers(0, min(rows, cols)))
     entry = st.one_of(st.just(0), st.integers(0, p - 1))
 
@@ -238,6 +241,66 @@ def test_rank_nullity_on_randoms():
         m = rand_matrix(rng, p, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         assert rank(m) + kernel_basis(m).cols == m.cols
         assert (m @ kernel_basis(m)).is_zero()
+
+
+SOLVE_PRIMES = (2, 5, 2**31 - 1)
+
+
+@st.composite
+def systems(draw) -> tuple:
+    """(M, k, B): M of known rank k, square or not, and a right-hand side of
+    0 to 3 columns, either M @ Y (consistent) or drawn entry by entry."""
+    m, k = draw(st.one_of(matrices_of_known_rank(SOLVE_PRIMES), matrices_of_known_rank(SOLVE_PRIMES, True)))
+    ncols = draw(st.integers(0, 3))
+
+    def entries(rows):
+        flat = draw(st.lists(st.integers(0, m.p - 1), min_size=rows * ncols, max_size=rows * ncols))
+        return FpMatrix(m.p, np.array(flat, dtype=np.int64).reshape(rows, ncols))
+
+    return m, k, m @ entries(m.cols) if draw(st.booleans()) else entries(m.rows)
+
+
+@given(systems())
+def test_solve_matches_row_loop_oracle(case):
+    # one reduction of [M | B] reads rank(M) and a solution, as the textbook
+    # row loop does from rref(M) and rref([M | B])
+    m, k, b = case
+    r, x = _solve(m, b)
+    assert r == oracle_rref(m)[1] == k
+    consistent = all(c < m.cols for c in oracle_rref(FpMatrix(m.p, np.hstack([m.a, b.a])))[2])
+    assert (x is not None) == consistent
+    if consistent:
+        assert m @ x == b
+
+
+@given(matrices_of_known_rank(SOLVE_PRIMES, square=True), st.booleans())
+def test_canonical_map_report_matches_row_loop_oracle(case, wide):
+    # a square map's verdict and inverse, and the rank of one widened by a
+    # zero column
+    m, k = case
+    if wide:
+        m = FpMatrix(m.p, np.hstack([m.a, np.zeros((m.rows, 1), dtype=np.int64)]))
+    g = canonical_map_report(m)
+    assert g.rank == oracle_rref(m)[1] == k
+    assert g.invertible == (not wide and k == m.rows)
+    if g.invertible:
+        red = oracle_rref(FpMatrix(m.p, np.hstack([m.a, np.eye(m.rows, dtype=np.int64)])))[0]
+        assert g.inverse == FpMatrix(m.p, red.a[:, m.cols:])
+    else:
+        assert g.inverse is None
+
+
+def test_only_exactalg_reduces():
+    """Rank, kernels, solutions and inverses are read from exactalg's one
+    row reduction; no other module names rref (the package namespace only
+    re-exports it)."""
+    package = Path(entwine.__file__).parent
+    users = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if path.name not in ("exactalg.py", "__init__.py") and "rref" in path.read_text(encoding="utf-8")
+    )
+    assert users == []
 
 
 def test_solve_consistency():
