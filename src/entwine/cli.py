@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     mk = sub.add_parser("make-instance", help="generate a corpus instance")
     mk.add_argument("kind", choices=sorted(builders))
     mk.add_argument("--p", type=int, required=True, help="prime modulus")
-    mk.add_argument("--order", type=int, default=2, help="group order for group-algebra kinds")
+    mk.add_argument("--order", type=int, default=2, help="group order for group-algebra, regular-comodule "
+                    "and trivial-coaction; sweedler, idempotent-monoid and trivial have none and ignore it")
     mk.add_argument("--out", default="-", help="output path, - for stdout")
     return parser
 

@@ -338,8 +338,11 @@ def rref(m: FpMatrix) -> tuple:
     only the rows with a nonzero in column c.  Entries stay below p < 2^31,
     so every product is below 2^62 and int64 is exact.
     """
-    p = m.p
-    a = np.array(m.a, dtype=np.int64, order="C")
+    return _rref(m.p, np.array(m.a, dtype=np.int64, order="C"))
+
+
+def _rref(p: int, a: np.ndarray) -> tuple:
+    """rref of the writable C-order int64 array ``a``, reduced in place."""
     nrows, ncols = a.shape
     pivots = []
     r = 0
@@ -369,19 +372,17 @@ def rank(m: FpMatrix) -> int:
 def _solve(m: FpMatrix, b: FpMatrix) -> tuple:
     """``(rank of m, X)`` from one reduction of [m | b]: X solves ``m @ X == b``
     with free variables zero, or is None when no solution exists.  The pivots
-    left of ``m.cols`` are rref(m)'s, and at full column rank X is the right
-    block of the reduction itself, a view."""
+    left of ``m.cols`` are rref(m)'s.  [m | b] is built here and reduced in
+    place, and X gets its own array, so no result keeps the reduction alive."""
     m._match(b)
     if m.rows != b.rows:
         raise ShapeError(f"row mismatch: {m.rows} vs {b.rows}")
-    red, _, pivots = rref(FpMatrix._reduced(m.p, np.hstack([m.a, b.a])))
+    red, _, pivots = _rref(m.p, np.hstack([m.a, b.a]))
     r = sum(1 for c in pivots if c < m.cols)
     if r < len(pivots):
         return r, None
-    x = red.a[:r, m.cols:]
-    if r < m.cols:
-        x = np.zeros((m.cols, b.cols), dtype=np.int64)
-        x[list(pivots)] = red.a[:r, m.cols:]
+    x = np.zeros((m.cols, b.cols), dtype=np.int64)
+    x[list(pivots)] = red.a[:r, m.cols:]
     return r, FpMatrix._reduced(m.p, x)
 
 

@@ -115,6 +115,28 @@ class Report:
 
 # json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True), one encoder for all calls
 _dump = json.JSONEncoder(sort_keys=True, indent=2).encode
+_BLOCK = 1 << 14  # entries per block of text that _joined writes
+
+
+def _joined(flat: np.ndarray, sep: str):
+    """``sep.join(map(str, flat))`` for entries in [0, 2^31), in blocks of text.
+    A block is a uint8 grid, one row per entry: the separator and as many
+    decimal digits as the block's largest entry has (divmod by 10 on a uint32
+    copy), leading zeros masked out, decoded from the grid's buffer."""
+    head = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
+    for start in range(0, flat.size, _BLOCK):
+        v = flat[start:start + _BLOCK].astype(np.uint32)
+        top = int(v.max())
+        grid = np.empty((v.size, head.size + len(str(top))), dtype=np.uint8)
+        keep = np.ones(grid.shape, dtype=bool) if top > 9 else None
+        grid[:, :head.size] = head
+        for col in range(grid.shape[1] - 1, head.size, -1):
+            grid[:, col] = v % 10 + 48
+            v //= 10
+            keep[:, col - 1] = v > 0  # the digit left of col is not a leading zero
+        grid[:, head.size] = v + 48  # the leading digit: v < 10 is left
+        text = grid.reshape(-1) if keep is None else grid[keep]
+        yield str(memoryview(text)[head.size if start == 0 else 0:], "ascii")
 
 
 def _holds_matrix(v) -> bool:
@@ -129,9 +151,8 @@ def _pieces(v, pad: str):
     if isinstance(v, FpMatrix):
         yield f'{{\n{inner}"cols": {v.cols},\n{inner}"entries": '
         if v.a.size:
-            # the repr of a list of ints is its entries joined by ", "
             yield f"[\n{inner}  "
-            yield str(v.a.reshape(-1).tolist())[1:-1].replace(", ", ",\n" + inner + "  ")
+            yield from _joined(v.a.reshape(-1), ",\n" + inner + "  ")
             yield f"\n{inner}]"
         else:
             yield "[]"
@@ -154,7 +175,7 @@ def render_json(payload) -> str:
 
     json.dumps with an indent runs the pure-Python encoder, one call per
     entry.  So the document is written in order: a dict that holds a matrix
-    key by key, a matrix's entries from the repr of their list, one entry
-    per line, and any other value by one json call, re-indented.
+    key by key, a matrix's entries one per line by ``_joined`` (no Python
+    object per entry), and any other value by one json call, re-indented.
     """
     return "".join([*_pieces(payload, ""), "\n"])

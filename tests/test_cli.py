@@ -7,15 +7,17 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import entwine
-from entwine import cli, duoidal, entwining, exactalg, hopfmod, instances, structures
+from entwine import cli, duoidal, entwining, exactalg, hopfmod, instances, report, structures
 from entwine.cli import main, report_json
 from entwine.exactalg import FpMatrix
 from entwine.instances import (
@@ -523,6 +525,52 @@ def test_render_json_matches_json_dumps(payload):
     assert render_json(payload) == want
 
 
+# entries of every width from 1 to 10 digits: p - 1 has 1 to 5 digits for
+# these primes and 10 at 2^31 - 1, and the draws include 10^k - 1 and 10^k
+WRITER_PRIMES = SWEEP_PRIMES + (11, 101, 4093, 65537)
+
+
+@st.composite
+def blocked_matrices(draw):
+    """(block, matrix): a block size to patch into the writer and a matrix of
+    block - 1, block, block + 1 or several blocks' entries, whose rows are
+    all 0, all p - 1, or entries of every width up to p's."""
+    p = draw(st.sampled_from(WRITER_PRIMES))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    n = rows * cols
+    block = draw(st.sampled_from((n + 1, max(n, 1), max(n - 1, 1), max(n // 3, 1))))
+    places = [10**k for k in range(len(str(p - 1)))]
+    entry = st.integers(0, p - 1) | st.sampled_from([0, p - 1] + [e + d for e in places[1:] for d in (-1, 0)])
+    fill = st.sampled_from(([0] * cols, [p - 1] * cols)) | st.lists(entry, min_size=cols, max_size=cols)
+    flat = [e for _ in range(rows) for e in draw(fill)]
+    return block, FpMatrix(p, np.array(flat, dtype=np.int64).reshape(rows, cols))
+
+
+@given(blocked_matrices())
+@example((3, FpMatrix(2**31 - 1, [[0, 9, 10, 99, 100, 2**31 - 2]])))
+def test_render_json_writes_entries_across_blocks(case):
+    block, m = case
+    payload = {"m": m, "deep": {"er": m}}
+    want = json.dumps(plain(payload), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    with mock.patch.object(report, "_BLOCK", block):
+        assert render_json(payload) == want
+
+
+@pytest.mark.parametrize("p", (5, 2**31 - 1))
+def test_render_json_peaks_near_twice_its_text(p):
+    # the text exists twice at the peak, in blocks and joined; a writer that
+    # holds a grid of all the entries, or a list of them as Python ints,
+    # peaks higher (3.5 times the text at p = 2^31 - 1 from the list's repr)
+    m = FpMatrix(p, np.random.default_rng(5).integers(0, p, (1024, 1024)))
+    tracemalloc.start()
+    try:
+        text = render_json(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * len(text), peak / len(text)
+
+
 def test_human_report_antipode_labels(capsys):
     code, out, _ = run(capsys, "galois", fixture_path("kz2_f3"))
     assert code == 0
@@ -693,11 +741,11 @@ def test_canonical_map_reduced_once(monkeypatch, capsys, tmp_path, command, name
         raw["roles"]["C"] = {"kind": "comonoid", "object": "A", "delta": "delta", "eps": "eps"}
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(raw))
-    calls = _count_calls(monkeypatch, exactalg, "rref")
+    calls = _count_calls(monkeypatch, exactalg, "_rref")  # rref and _solve both reduce through it
     got, out, _ = run(capsys, command, str(path), "--json")
     assert got == code
     assert len(calls) == 1
-    assert calls[0][0].shape == ((2, 1) if name == "trivial_coaction_f3" else (4, 8))
+    assert calls[0][1].shape == ((2, 1) if name == "trivial_coaction_f3" else (4, 8))
     if name == "wide_C":
         assert json.loads(out)["checks"][0]["name"] == "can invertible (rank 8/8)"
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import permutations
 from math import prod
 from pathlib import Path
@@ -288,6 +289,27 @@ def test_canonical_map_report_matches_row_loop_oracle(case, wide):
         assert g.inverse == FpMatrix(m.p, red.a[:, m.cols:])
     else:
         assert g.inverse is None
+
+
+def test_inverse_reduces_in_place_and_owns_its_entries():
+    # [M | I] is reduced where _solve builds it, and the inverse is copied out
+    # of it: the peak is I, [M | I] and the copy, four n^2 arrays (5.0 when
+    # rref copied [M | I]), and the result keeps n^2 entries, not the 2 n^2 of
+    # a view into the reduction
+    n, rng = 512, np.random.default_rng(3)
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.arange(n), rng.permutation(n)] = rng.integers(1, 5, n)
+    m, cells = FpMatrix(5, a), 8 * n * n
+    tracemalloc.start()
+    try:
+        x = inverse(m)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m @ x == identity(5, n)
+    assert x.a.base is None
+    assert peak <= 4.05 * cells, peak / cells
+    assert kept <= 1.05 * cells, kept / cells
 
 
 def test_only_exactalg_reduces():
