@@ -29,6 +29,7 @@ from .structures import (
     ComoduleAlgebraData,
     ModuleData,
     MonoidData,
+    _require_transposed,
     check_module,
     module_comonoid_of_coalgebra,
     regular_right_module,
@@ -71,51 +72,46 @@ class EntwiningData:
         return self.monoid.p
 
 
-# Per side, each axiom's contractions of a structure map with lambda0 (legs
-# a, b, i, j, x, y on the monoid, c, e, f, g, h, k, z on the comonoid): the
-# side through lambda0 once and, for (co)multiplication, the two steps of
-# the side through it twice, e.g. on the right (m(x)I).(I(x)lambda0).(lambda0(x)I)
-# sums m[a, (i, j)] lambda0[(i, e), (c, x)] lambda0[(j, k), (e, y)].
+# Per side, the multiplication axiom's contractions of m with lambda0 (legs
+# a, b, i, j, x, y on the monoid, c, e, k, z on the comonoid): the side
+# through lambda0 once and the two steps of the side through it twice, e.g.
+# on the right (m(x)I).(I(x)lambda0).(lambda0(x)I) sums m[a, (i, j)]
+# lambda0[(i, e), (c, x)] lambda0[(j, k), (e, y)]; then the unit axiom's.
 _ENTWINING_SPECS = {
-    RIGHT: (
-        ("b|xy,ak|cb->ak|cxy", "a|ij,ie|cx->acx|je", "acx|je,jk|ey->ak|cxy"),
-        "b|,ak|cb->ak|c",
-        ("gh|k,ik|ca->igh|ca", "ef|c,jh|fa->ej|hca", "ej|hca,ig|ej->igh|ca"),
-        "|k,ik|ca->i|ca",
-    ),
-    LEFT: (
-        ("b|xy,ka|bz->ka|xyz", "b|ij,ej|yz->ie|byz", "ie|byz,ki|xe->kb|xyz"),
-        "b|,ka|bz->ka|z",
-        ("gh|k,kj|bz->ghj|bz", "ef|z,hj|if->ie|hjz", "ie|hjz,gi|be->ghj|bz"),
-        "|k,kj|bz->j|bz",
-    ),
+    RIGHT: (("b|xy,ak|cb->ak|cxy", "a|ij,ie|cx->acx|je", "acx|je,jk|ey->ak|cxy"), "b|,ak|cb->ak|c"),
+    LEFT: (("b|xy,ka|bz->ka|xyz", "b|ij,ej|yz->ie|byz", "ie|byz,ki|xe->kb|xyz"), "b|,ka|bz->ka|z"),
 }
+
+
+def _entwining_laws(side: str, m: FpMatrix, e: FpMatrix, dc: int, lam: FpMatrix) -> tuple:
+    """The multiplication and unit axioms of lam, an entwining on ``side`` of
+    the monoid (m, e) with a comonoid of dimension dc, as (lhs, rhs) pairs."""
+    (once, first, second), unit = _ENTWINING_SPECS[side]
+    dims = {**dict.fromkeys("abijxy", m.rows), **dict.fromkeys("cekz", dc)}
+    # twice first, so at most three arrays of the axiom's size are alive
+    twice = contract(second, contract(first, m, lam, dims), lam, dims)
+    ic = identity(m.p, dc)
+    return (
+        (contract(once, m, lam, dims), twice),
+        (contract(unit, e, lam, dims), kron(e, ic) if side == RIGHT else kron(ic, e)),
+    )
 
 
 def check_entwining(ed: EntwiningData) -> Report:
     """The four mixed-distributive-law axioms for lambda0.
 
     Stated in the base convention of ed.side; assumes the monoid and comonoid
-    pass their own axiom checks.
+    pass their own axiom checks.  The comultiplication and counit axioms are
+    the multiplication and unit axioms of lambda0^T, an entwining on the same
+    side of the monoid (delta^T, eps^T) with the comonoid (m^T, e^T),
+    transposed back.
     """
-    da, dc, lam = ed.monoid.dim, ed.comonoid.dim, ed.lambda0
-    ia, ic = identity(ed.p, da), identity(ed.p, dc)
-    dims = {**dict.fromkeys("abijxy", da), **dict.fromkeys("cefghkz", dc)}
-    mult, unit, comult, counit = _ENTWINING_SPECS[ed.side]
-
-    def sides(f: FpMatrix, once: str, first: str, second: str) -> tuple:
-        # twice first, so at most three arrays of the axiom's size are alive
-        twice = contract(second, contract(first, f, lam, dims), lam, dims)
-        return contract(once, f, lam, dims), twice
-
-    m, e, delta, eps = ed.monoid.m, ed.monoid.e, ed.comonoid.delta, ed.comonoid.eps
-    right = ed.side == RIGHT
+    a, c, lam = ed.monoid, ed.comonoid, ed.lambda0
     r = Report(f"entwining axioms ({ed.side} side)")
-    r.require_equal("multiplication", *sides(m, *mult))
-    r.require_equal("unit", contract(unit, e, lam, dims), kron(e, ic) if right else kron(ic, e))
-    r.require_equal("comultiplication", *sides(delta, *comult))
-    r.require_equal("counit", contract(counit, eps, lam, dims), kron(eps, ia) if right else kron(ia, eps))
-    return r
+    for name, sides in zip(("multiplication", "unit"), _entwining_laws(ed.side, a.m, a.e, c.dim, lam)):
+        r.require_equal(name, *sides)
+    laws = _entwining_laws(ed.side, c.delta.transpose(), c.eps.transpose(), a.dim, lam.transpose())
+    return _require_transposed(r, ("comultiplication", "counit"), laws)
 
 
 def entwining_from_bimonoid(a: BimonoidData) -> EntwiningData:

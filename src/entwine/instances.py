@@ -180,8 +180,6 @@ _ROLES = {
 }
 ROLE_KINDS = tuple(_ROLES)
 _ROLE_REFS = ("over", "monoid", "comonoid")
-# kinds resolved after every role that references no other role
-_REFERRING = tuple(kind for kind, (fields, _) in _ROLES.items() if any(f in _ROLE_REFS for f in fields))
 
 
 def _role_field(inst: InstanceFile, name: str, decl: dict, key: str):
@@ -203,8 +201,8 @@ def _role_field(inst: InstanceFile, name: str, decl: dict, key: str):
         )
         return inst.resolved[ref]
     if key in _ROLE_REFS:
-        _require(ref in inst.resolved, f"role {name!r}: unknown role {ref!r}")
-        half = _provided(inst.resolved[ref], key)
+        _require(ref in inst.roles, f"role {name!r}: unknown role {ref!r}")
+        half = _provided(inst.resolved.get(ref), key)
         _require(half is not None, f"role {name!r}: {ref!r} does not provide a {key}")
         return half
     _require(ref in inst.maps, f"role {name!r}: unknown map {ref!r}")
@@ -212,10 +210,12 @@ def _role_field(inst: InstanceFile, name: str, decl: dict, key: str):
 
 
 def _resolve_roles(inst: InstanceFile) -> None:
-    """Build the typed structure of every role, enforcing shape constraints:
-    first the roles that reference no other role, then the rest, each group
-    in name order.  A role references only roles resolved before it."""
-    for name in sorted(inst.roles, key=lambda n: (inst.roles[n].get("kind") in _REFERRING, n)):
+    """Build the typed structure of every role, enforcing shape constraints,
+    in the order of the kinds in _ROLES (unknown kinds first), each kind in
+    name order.  A kind references only kinds above it in the table, so
+    every role that a role may name is resolved before it."""
+    kind = {name: decl.get("kind") for name, decl in inst.roles.items()}
+    for name in sorted(kind, key=lambda n: (ROLE_KINDS.index(kind[n]) if kind[n] in ROLE_KINDS else -1, n)):
         decl = inst.roles[name]
         _require(decl.get("kind") in ROLE_KINDS, f"role {name!r}: unknown kind {decl.get('kind')!r}")
         fields, build = _ROLES[decl["kind"]]
@@ -445,9 +445,11 @@ builders = {
 def build_instance(kind: str, p: int, order: int = 2) -> InstanceFile:
     if kind not in builders:
         raise InstanceError(f"unknown instance kind {kind!r}; choose from {sorted(builders)}")
-    fn = builders[kind]
-    raw = fn(p, order) if kind in ("group-algebra", "regular-comodule", "trivial-coaction") else fn(p)
-    return instance_from_dict(raw, source=f"<make-instance {kind}>")
+    fn, ordered = builders[kind], kind in ("group-algebra", "regular-comodule", "trivial-coaction")
+    if ordered and order >= 1:  # A is F_p[Z/order]: refuse what the loader would, before building it
+        cap = _max_dim()
+        _require(order <= cap, f"object 'A' has dimension {order} > ENTWINE_MAX_DIM={cap}")
+    return instance_from_dict(fn(p, order) if ordered else fn(p), source=f"<make-instance {kind}>")
 
 
 FIXTURES = {

@@ -4,7 +4,8 @@ Everything is presented by structure constants: a monoid is the pair of
 matrices (m: A(x)A -> A, e: k -> A) on a chosen basis, a comonoid the dual
 pair, and every axiom is decided as an exact matrix identity.  Associators
 and unitors are identity reindexings under the package-wide row-major
-flattening, so no bracketing bookkeeping appears in any axiom.
+flattening, so no bracketing bookkeeping appears in any axiom.  Each co-law
+is the law of the transposed structure maps, both sides transposed back.
 """
 
 from __future__ import annotations
@@ -208,33 +209,38 @@ class ModuleComonoidData:
 # axiom checkers
 # ---------------------------------------------------------------------------
 
+def _require_transposed(r: Report, names, laws) -> Report:
+    """Add to r each co-law of ``names`` from the (lhs, rhs) pairs ``laws`` of
+    the law of the transposed maps, both sides transposed back (views, no
+    copy), so the rows compared and each first difference are the co-law's."""
+    for name, (lhs, rhs) in zip(names, laws):
+        r.require_equal(name, lhs.transpose(), rhs.transpose())
+    return r
+
+
+def _monoid_laws(m: FpMatrix, e: FpMatrix) -> tuple:
+    """Associativity, left unit and right unit of (m, e) as (lhs, rhs) pairs."""
+    dims, i = dict.fromkeys("xiabc", m.rows), identity(m.p, m.rows)
+    return (
+        (contract("x|ic,i|ab->x|abc", m, m, dims), contract("x|ai,i|bc->x|abc", m, m, dims)),
+        (contract("x|ib,i|->x|b", m, e, dims), i),
+        (contract("x|ai,i|->x|a", m, e, dims), i),
+    )
+
+
 def check_monoid(a: MonoidData) -> Report:
     """Associativity and the two unit identities, as matrix equalities."""
     r = Report("monoid axioms")
-    m, e, dims = a.m, a.e, dict.fromkeys("xiabc", a.dim)
-    r.require_equal(
-        "associativity",
-        contract("x|ic,i|ab->x|abc", m, m, dims),
-        contract("x|ai,i|bc->x|abc", m, m, dims),
-    )
-    i = identity(a.p, a.dim)
-    r.require_equal("left unit", contract("x|ib,i|->x|b", m, e, dims), i)
-    r.require_equal("right unit", contract("x|ai,i|->x|a", m, e, dims), i)
+    for name, sides in zip(("associativity", "left unit", "right unit"), _monoid_laws(a.m, a.e)):
+        r.require_equal(name, *sides)
     return r
 
 
 def check_comonoid(c: ComonoidData) -> Report:
+    """The monoid laws of (delta^T, eps^T), transposed back."""
     r = Report("comonoid axioms")
-    delta, eps, dims = c.delta, c.eps, dict.fromkeys("xiabc", c.dim)
-    r.require_equal(
-        "coassociativity",
-        contract("ab|i,ic|x->abc|x", delta, delta, dims),
-        contract("bc|i,ai|x->abc|x", delta, delta, dims),
-    )
-    i = identity(c.p, c.dim)
-    r.require_equal("left counit", contract("|i,ib|x->b|x", eps, delta, dims), i)
-    r.require_equal("right counit", contract("|i,ai|x->a|x", eps, delta, dims), i)
-    return r
+    laws = _monoid_laws(c.delta.transpose(), c.eps.transpose())
+    return _require_transposed(r, ("coassociativity", "left counit", "right counit"), laws)
 
 
 def _middle_transposition(x: FpMatrix, dw: int, dx: int, dy: int, dz: int) -> FpMatrix:
@@ -249,7 +255,8 @@ def _law_one_rhs(rho: FpMatrix, m_a: FpMatrix, m_b: FpMatrix) -> FpMatrix:
     rho[(a1,c1),b] rho[(a2,c2),b'].  Three contractions (m_A with the first
     rho over a1, m_B with the second over c2, the two over (a2, c1)) hold at
     most dA^2*dB^2 or dA*dB^3 entries: d^4 for a bimonoid, which is its own
-    regular comodule algebra (rho = delta, m_A = m_B = m)."""
+    regular comodule algebra (rho = delta, m_A = m_B = m).  On transposes it
+    is also a module comonoid's comultiplication law."""
     dims = {**dict.fromkeys("xij", m_a.rows), **dict.fromkeys("yklbc", m_b.rows)}
     t1 = contract("x|ij,ik|b->xb|jk", m_a, rho, dims)
     t2 = contract("y|kl,jl|c->jk|yc", m_b, rho, dims)
@@ -290,37 +297,34 @@ _MODULE_SPECS = {
 }
 
 
+def _module_laws(side: str, h: FpMatrix, m: FpMatrix, e: FpMatrix) -> tuple:
+    """Action associativity and unit of the ``side`` action h of (m, e) as
+    (lhs, rhs) pairs."""
+    by_action, by_m, by_e = _MODULE_SPECS[side]
+    dims = {**dict.fromkeys("ukx", h.rows), **dict.fromkeys("abc", m.rows)}
+    return (
+        (contract(by_action, h, h, dims), contract(by_m, h, m, dims)),
+        (contract(by_e, h, e, dims), identity(m.p, h.rows)),
+    )
+
+
 def check_module(x: ModuleData, a: MonoidData) -> Report:
     r = Report(f"{x.side} module axioms")
-    h = x.action
-    _expect(h, (x.dim, x.dim * a.dim), f"{x.side} action")
-    by_action, by_m, by_e = _MODULE_SPECS[x.side]
-    dims = {**dict.fromkeys("ukx", x.dim), **dict.fromkeys("abc", a.dim)}
-    r.require_equal(
-        "action associativity", contract(by_action, h, h, dims), contract(by_m, h, a.m, dims)
-    )
-    r.require_equal("action unit", contract(by_e, h, a.e, dims), identity(a.p, x.dim))
+    _expect(x.action, (x.dim, x.dim * a.dim), f"{x.side} action")
+    for name, sides in zip(("action associativity", "action unit"), _module_laws(x.side, x.action, a.m, a.e)):
+        r.require_equal(name, *sides)
     return r
-
-
-# (theta(x)I).theta = (I(x)delta).theta and (I(x)eps).theta = I for a right
-# coaction theta[(x, c), u]; for a left coaction rho[(c, x), u], (delta(x)I).rho
-# = (I(x)rho).rho and (eps(x)I).rho = I, the sides in the opposite order
-_COMODULE_SPECS = {
-    "right": ("xc|k,kd|u->xcd|u", "cd|e,xe|u->xcd|u", "|e,xe|u->x|u"),
-    "left": ("dx|k,ck|u->cdx|u", "cd|e,ex|u->cdx|u", "|e,ex|u->x|u"),
-}
 
 
 def _check_comodule(side: str, dim: int, coaction: FpMatrix, c: ComonoidData) -> Report:
+    """The module laws of the action coaction^T of (delta^T, eps^T),
+    transposed back.  A left coaction's coassociativity, (delta(x)I).rho =
+    (I(x)rho).rho, reads the action's sides in the opposite order."""
     r = Report(f"{side} comodule axioms")
     _expect(coaction, (dim * c.dim, dim), f"{side} coaction")
-    by_coaction, by_delta, by_eps = _COMODULE_SPECS[side]
-    dims = {**dict.fromkeys("xku", dim), **dict.fromkeys("cde", c.dim)}
-    sides = contract(by_coaction, coaction, coaction, dims), contract(by_delta, c.delta, coaction, dims)
-    r.require_equal("coaction coassociativity", *(sides if side == "right" else sides[::-1]))
-    r.require_equal("coaction counit", contract(by_eps, c.eps, coaction, dims), identity(c.p, dim))
-    return r
+    assoc, unit = _module_laws(side, coaction.transpose(), c.delta.transpose(), c.eps.transpose())
+    laws = (assoc if side == "right" else assoc[::-1], unit)
+    return _require_transposed(r, ("coaction coassociativity", "coaction counit"), laws)
 
 
 def check_right_comodule(dim: int, theta: FpMatrix, c: ComonoidData) -> Report:
@@ -375,16 +379,10 @@ def check_module_comonoid(z: ModuleComonoidData, a: BimonoidData) -> Report:
         raise ShapeError(f"sigma acts for a monad of dim {z.monad_dim}, bimonoid has dim {da}")
     r.merge(check_module(ModuleData(dz, z.sigma, "left"), a.monoid))
     r.merge(check_comonoid(z.comonoid), prefix="comonoid ")
-    # (sigma(x)sigma).colax.(I(x)deltaZ) at ((w, v), (a, z)) sums sigma[w, (i, k)]
-    # sigma[v, (j, l)] delta[(i, j), a] deltaZ[(k, l), z], each sigma with one delta
-    dims = {**dict.fromkeys("wvklz", dz), **dict.fromkeys("ija", da)}
-    t1 = contract("w|ik,ij|a->wa|jk", z.sigma, a.delta, dims)
-    t2 = contract("v|jl,kl|z->jk|vz", z.sigma, z.deltaZ, dims)
-    r.require_equal(
-        "comultiplication is a module morphism",
-        z.deltaZ @ z.sigma,
-        contract("wa|jk,jk|vz->wv|az", t1, t2, dims),
-    )
+    # (sigma(x)sigma).colax.(delta(x)deltaZ) is law (I) of the coaction sigma^T of
+    # the bimonoid's dual on the algebra (deltaZ^T, epsZ^T), transposed back
+    colax = _law_one_rhs(z.sigma.transpose(), a.delta.transpose(), z.deltaZ.transpose())
+    r.require_equal("comultiplication is a module morphism", z.deltaZ @ z.sigma, colax.transpose())
     r.require_equal("counit is a module morphism", z.epsZ @ z.sigma, kron(a.eps, z.epsZ))
     return r
 

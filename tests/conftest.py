@@ -11,7 +11,15 @@ from entwine.entwining import EntwiningData
 from entwine.exactalg import FpMatrix, swap_matrix
 from entwine.instances import build_instance, fixture_path, load_instance
 from entwine.report import Report
-from entwine.structures import BimonoidData, ComonoidData, ComoduleAlgebraData, ModuleData, MonoidData
+from entwine.structures import (
+    BimonoidData,
+    ComonoidData,
+    ComoduleAlgebraData,
+    ModuleComonoidData,
+    ModuleData,
+    MonoidData,
+    module_comonoid_of_coalgebra,
+)
 
 # Property sweeps draw the same examples on every run and write no example
 # database, so a failure reproduces from the test name alone.
@@ -207,6 +215,39 @@ def unequal_entwinings(draw, primes=SMALL_PRIMES) -> EntwiningData:
     f = {k: FpMatrix(p, v) for k, v in maps.items()}
     monoid, comonoid = MonoidData(da, f["m"], f["e"]), ComonoidData(dc, f["delta"], f["eps"])
     return EntwiningData(monoid, comonoid, f["lambda0"], side)
+
+
+@st.composite
+def module_comonoids(draw, mutate: bool) -> tuple:
+    """(z, a): module_comonoid_of_coalgebra of a bimonoid a and a comonoid c
+    at p in SMALL_PRIMES.  a is a corpus bimonoid, a group algebra F_p[Z/n]
+    (n = 1..3) or constants of any value in dimension 1 or 2, taken as
+    proved; c is a's own comonoid or a group algebra's, and constants too
+    when a is.  With ``mutate``, one entry of sigma, deltaZ or epsZ is
+    changed."""
+    source = draw(st.sampled_from(("corpus", "group", "constants")))
+    if source == "corpus":
+        a = corpus_bimonoid(draw(st.sampled_from(BIMONOID_FIXTURES)))
+    else:
+        p = draw(st.sampled_from(SMALL_PRIMES))
+        (_, a), = build_instance("group-algebra", p, draw(st.integers(1, 3))).roles_of("bimonoid")
+    p = a.p
+    if source == "constants":
+        d, dc = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        m, e, delta, eps = (draw_entries(draw, p, r, k) for r, k in ((d, d * d), (d, 1), (d * d, d), (1, d)))
+        a = proved(bimonoid_from_constants(p, d, m, e, delta, eps))
+        delta_c, eps_c = (FpMatrix(p, draw_entries(draw, p, r, k)) for r, k in ((dc * dc, dc), (1, dc)))
+        c = proved(ComonoidData(dc, delta_c, eps_c))
+    elif draw(st.booleans()):
+        c = a.comonoid
+    else:
+        (_, g), = build_instance("group-algebra", p, draw(st.integers(1, 3))).roles_of("bimonoid")
+        c = g.comonoid
+    z = module_comonoid_of_coalgebra(a, c)
+    if mutate:
+        maps = mutate_one(draw, {"sigma": z.sigma.a, "deltaZ": z.deltaZ.a, "epsZ": z.epsZ.a}, p)
+        z = ModuleComonoidData(z.dim, *(FpMatrix(p, maps[k]) for k in ("sigma", "deltaZ", "epsZ")))
+    return z, a
 
 
 def proved(*objects):

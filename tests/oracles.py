@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from math import prod
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -286,6 +287,45 @@ def oracle_comodule_algebra(b) -> dict:
         "coaction is multiplicative": mult,
         "coaction preserves the unit": unit,
     }
+
+
+def oracle_module_comonoid(z, a) -> dict:
+    """Module, comonoid and module-morphism axioms of the module comonoid z
+    over the bimonoid a, on basis tuples: the left action's through
+    oracle_module, the comonoid's through oracle_comonoid, then
+    deltaZ(a.z) == sum a1.z1 (x) a2.z2 over delta(a) and deltaZ(z), and
+    epsZ(a.z) == eps(a) epsZ(z).  Column i*dZ + k of sigma holds a_i.z_k and
+    column k of deltaZ holds deltaZ(z_k) as a (dZ, dZ) coordinate array.
+    Sums are Python integers."""
+    da, dz, p = a.dim, z.dim, a.p
+    sigma, eps_z = z.sigma.a.astype(object), z.epsZ.a[0].astype(object)
+
+    def comul_z(v) -> np.ndarray:
+        """deltaZ(v) as a (dZ, dZ) coordinate array."""
+        image = np.zeros((dz, dz), dtype=object)
+        for k in np.flatnonzero(v):
+            image += int(v[k]) * z.deltaZ.a[:, k].astype(object).reshape(dz, dz)
+        return image
+
+    out = oracle_module(SimpleNamespace(dim=dz, action=z.sigma, side="left"), a.monoid)
+    comonoid = oracle_comonoid(SimpleNamespace(dim=dz, p=p, delta=z.deltaZ, eps=z.epsZ))
+    out.update((f"comonoid {name}", ok) for name, ok in comonoid.items())
+    comult = counit = True
+    for i in range(da):
+        da_i = comul_elem(a.comonoid, i)
+        for k in range(dz):
+            dz_k = z.deltaZ.a[:, k].reshape(dz, dz)
+            rhs = np.zeros((dz, dz), dtype=object)
+            for i1, i2 in zip(*np.nonzero(da_i)):
+                for k1, k2 in zip(*np.nonzero(dz_k)):
+                    coeff = int(da_i[i1, i2]) * int(dz_k[k1, k2])
+                    rhs += coeff * np.outer(sigma[:, i1 * dz + k1], sigma[:, i2 * dz + k2])
+            acted = sigma[:, i * dz + k]
+            comult &= np.array_equal(comul_z(acted) % p, rhs % p)
+            counit &= int(eps_z @ acted) % p == counit_elem(a.comonoid, i) * int(eps_z[k]) % p
+    out["comultiplication is a module morphism"] = comult
+    out["counit is a module morphism"] = counit
+    return out
 
 
 def entwine_pairs(ed) -> np.ndarray:

@@ -184,7 +184,7 @@ def test_loader_outcomes_under_role_mutations():
             lines.append(f"{name} {section} {target} {key} {value!r} -> {_load_outcome(raw)}")
     assert len(lines) == 1518
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "09c2cd0f96ad8945cd3db3194d8b8591464b7a22ee40b49015f3f431fbccf5c1", digest
+    assert digest == "75cf380b4b265173683a6b3aa6452c4170bac802e5b935ae2f507738160a96d8", digest
 
 
 @pytest.mark.parametrize(
@@ -219,10 +219,21 @@ def test_loader_outcomes_under_role_mutations():
             lambda roles: roles["regular"].update(over=["A"]),
             "role 'regular': field 'over' must be a string, got ['A']",
         ),
+        # a role of a later kind, or the role itself, is named but provides nothing
+        (
+            "kz2_f3",
+            lambda roles: roles["lambda"].update(monoid="regular"),
+            "role 'lambda': 'regular' does not provide a monoid",
+        ),
+        (
+            "kz2_f3",
+            lambda roles: roles["lambda"].update(comonoid="lambda"),
+            "role 'lambda': 'lambda' does not provide a comonoid",
+        ),
     ),
     ids=(
         "missing-over", "over-not-bimonoid", "no-comonoid", "action-shape", "unknown-kind",
-        "list-map", "object-object", "list-role",
+        "list-map", "object-object", "list-role", "hopf-module-as-monoid", "self-as-comonoid",
     ),
 )
 def test_role_fault_messages(name, edit, message):
@@ -231,6 +242,16 @@ def test_role_fault_messages(name, edit, message):
     with pytest.raises(InstanceError) as err:
         instance_from_dict(raw)
     assert str(err.value) == message
+
+
+def test_entwining_named_before_its_comodule_algebra_resolves():
+    # roles resolve kind by kind, so the names of the two roles do not matter
+    raw = _fixture_raw("regular_comodule_f3")
+    raw["maps"]["flip"] = {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}
+    raw["roles"]["AA"] = {"kind": "entwining", "monoid": "B", "comonoid": "C", "lambda0": "flip"}
+    inst = instance_from_dict(raw)
+    ed, b, c = (inst.resolved[name] for name in ("AA", "B", "C"))
+    assert ed.monoid is b.algebra and ed.comonoid is c
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +894,18 @@ def test_make_instance_stdout(capsys):
 def test_make_instance_rejects_even_sweedler(capsys):
     code, _, err = run(capsys, "make-instance", "sweedler", "--p", "2")
     assert code == 2 and "odd" in err
+
+
+@pytest.mark.parametrize("kind", ("group-algebra", "regular-comodule", "trivial-coaction"))
+@pytest.mark.parametrize("order", (65, 3000, 100000000))
+def test_make_instance_refuses_an_order_over_the_cap_before_building(monkeypatch, capsys, kind, order):
+    # built, 65 is refused by the loader, 3000 runs out of memory and 10^8
+    # overflows an index; each is refused before anything is built
+    monkeypatch.delenv("ENTWINE_MAX_DIM", raising=False)
+    monkeypatch.setattr(instances, "_group_algebra", mock.Mock(side_effect=AssertionError("built")))
+    code, out, err = run(capsys, "make-instance", kind, "--p", "5", "--order", str(order))
+    assert (code, out) == (2, "")
+    assert err == f"entwine: error: object 'A' has dimension {order} > ENTWINE_MAX_DIM=64\n"
 
 
 def test_build_instance_unknown_kind():

@@ -31,6 +31,7 @@ from conftest import (
     BIMONOID_FIXTURES,
     corpus_bimonoid,
     corpus_instance,
+    module_comonoids,
     mutated_comodule_fixtures,
     mutated_comodules,
     mutated_fixtures,
@@ -46,6 +47,7 @@ from oracles import (
     oracle_comonoid,
     oracle_left_comodule,
     oracle_module,
+    oracle_module_comonoid,
     oracle_monoid,
     oracle_right_comodule,
 )
@@ -323,6 +325,18 @@ def test_module_comonoid_mutated_action_counterexamples_are_pinned():
         ("comultiplication is a module morphism", {"row": 21, "col": 5, "lhs": 0, "rhs": 1}),
         ("counit is a module morphism", {"row": 0, "col": 5, "lhs": 2, "rhs": 1}),
     ]
+
+
+@given(module_comonoids(mutate=False))
+def test_module_comonoid_matches_oracle_on_built_module_comonoids(za):
+    z, a = za
+    assert verdicts(check_module_comonoid(z, a)) == oracle_module_comonoid(z, a)
+
+
+@given(module_comonoids(mutate=True))
+def test_module_comonoid_matches_oracle_on_mutated_module_comonoids(za):
+    z, a = za
+    assert verdicts(check_module_comonoid(z, a)) == oracle_module_comonoid(z, a)
 
 
 def test_module_comonoid_precondition():
