@@ -332,36 +332,73 @@ def rref(m: FpMatrix) -> tuple:
     Deterministic: columns scanned left to right, the first nonzero entry at
     or below the current row becomes the pivot.
 
-    Each pivot costs array operations only.  Rows at and below the current
-    row are zero left of the current column, so the swap, the scaling and
-    the rank-1 update touch columns ``c:`` alone, and the update touches
-    only the rows with a nonzero in column c.  Entries stay below p < 2^31,
-    so every product is below 2^62 and int64 is exact.
+    Each pivot costs array operations only, and residues are taken only
+    where they are read (delayed reduction, as in FFLAS/FFPACK).  Rows at
+    and below the current row are zero left of the current column, so the
+    swap, the scaling and the rank-1 update touch columns ``c:`` alone.
+    The pivot column and the pivot row are reduced mod p before they are
+    read; the update is not.  Every update subtracts products of two
+    residues, each at most (p-1)^2, so after k updates an entry lies in
+    [-k(p-1)^2, p), and the active block (columns right of the pivot) is
+    reduced only when one more update could leave int64: every 2 updates
+    at p = 2^31-1, every 9 at p = 10^9+7, never in practice at small p.
+    The columns not yet final are reduced once at the end.  The update is
+    one in-place rank-1 subtraction over all rows when most rows have a
+    nonzero in the pivot column, else over the gathered rows that do.
     """
     return _rref(m.p, np.array(m.a, dtype=np.int64, order="C"))
 
 
 def _rref(p: int, a: np.ndarray) -> tuple:
-    """rref of the writable C-order int64 array ``a``, reduced in place."""
+    """rref of the writable C-order int64 array ``a`` of residues mod p,
+    reduced in place.  ``k`` counts the updates since the active block was
+    last reduced, and while it is 0 every entry is a residue.  It reaches
+    at most ``room`` = 2^63 // (p-1)^2, so no entry falls below -2^63.
+    Columns left of ``c`` are final: a pivot column is exact once cleared,
+    and any other was reduced when it was searched."""
     nrows, ncols = a.shape
+    room = 2**63 // (p - 1) ** 2
     pivots = []
-    r = 0
+    r = k = 0
     for c in range(ncols):
         if r == nrows:
             break
-        below = np.flatnonzero(a[r:, c])
-        if below.size == 0:
+        col = a[:, c]
+        if k:
+            np.remainder(col, p, out=col)
+        nonzero = np.flatnonzero(col)
+        i = np.count_nonzero(col[:r])
+        if i == nonzero.size:
             continue
-        pr = r + int(below[0])
+        pr = int(nonzero[i])
         if pr != r:
-            a[[r, pr], c:] = a[[pr, r], c:]
-        a[r, c:] = a[r, c:] * fp_inv(int(a[r, c]), p) % p
-        rows = np.flatnonzero(a[:, c])
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
+            swap = a[pr, c:].copy()
+            a[pr, c:] = a[r, c:]
+            a[r, c:] = swap
+        row = a[r, c:]
+        if k:
+            np.remainder(row, p, out=row)
+        if row[0] != 1:
+            row *= fp_inv(int(row[0]), p)
+            np.remainder(row, p, out=row)
+        if nonzero.size > 1:
+            if k == room:
+                np.remainder(a[:, c + 1:], p, out=a[:, c + 1:])
+                k = 0
+            if 2 * nonzero.size > nrows:
+                mult = col.copy()
+                mult[r] = 0
+                a[:, c:] -= np.outer(mult, row)
+            else:
+                rows = nonzero[nonzero != pr]
+                a[rows, c:] -= np.outer(col[rows], row)
+            k += 1
         pivots.append(c)
         r += 1
+    else:
+        c = ncols
+    if k:
+        np.remainder(a[:, c:], p, out=a[:, c:])
     return FpMatrix._reduced(p, a), len(pivots), tuple(pivots)
 
 

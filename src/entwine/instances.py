@@ -85,11 +85,12 @@ class InstanceFile:
         return [(name, m) for name, m in self.roles_of("hopf-module") if self.roles[name]["over"] == bimonoid]
 
     def labels_for(self, obj: str) -> Optional[list]:
-        if isinstance(self.meta, dict):
-            labels = self.meta.get("labels", {})
-            got = labels.get(obj)
-            if isinstance(got, list) and len(got) == self.objects.get(obj, -1):
-                return [str(x) for x in got]
+        """The basis labels of ``obj`` from ``meta.labels``, or None when
+        meta, its labels or the object's entry is malformed."""
+        labels = self.meta.get("labels") if isinstance(self.meta, dict) else None
+        got = labels.get(obj) if isinstance(labels, dict) else None
+        if isinstance(got, list) and len(got) == self.objects.get(obj, -1):
+            return [str(x) for x in got]
         return None
 
     def description(self) -> str:

@@ -1,8 +1,12 @@
 import argparse
+import contextlib
+import copy
 import gc
 import hashlib
+import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -14,11 +18,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import entwine
 from entwine import cli, duoidal, entwining, exactalg, hopfmod, instances, report, structures
-from entwine.cli import main, report_json
+from entwine.cli import CHECK_COMMANDS, main, report_json
 from entwine.exactalg import FpMatrix
 from entwine.instances import (
     InstanceError,
@@ -597,6 +601,56 @@ def test_human_report_antipode_labels(capsys):
     assert code == 0
     assert "S(u) = u" in out and "S(g) = g" in out
     assert "exit: 0" in out
+
+
+@pytest.mark.parametrize("labels", (5, ["u", "g"], "ug"), ids=("number", "list", "string"))
+def test_malformed_meta_labels_ignored(tmp_path, capsys, labels):
+    # meta.labels that is not an object is ignored, as a wrong-length list is
+    raw = _fixture_raw("kz2_f3")
+    raw["meta"]["labels"] = labels
+    f = tmp_path / "labels.json"
+    f.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "galois", str(f))
+    assert code == 0 and "antipode: S(e0) = e0, S(e1) = e1" in out
+    assert "running" not in err
+
+
+EDITS = ("delete", "negate", "x", [], {}, None, 2**70, 0.5, True)
+
+
+@st.composite
+def one_value_edits(draw) -> dict:
+    """A shipped fixture with one value anywhere in its JSON deleted,
+    negated, or replaced by a string, list, object, null, 2^70, a float or
+    a boolean.  The path is drawn one level at a time, so the short
+    sections are reached as often as the long entry lists."""
+    raw = _fixture_raw(draw(st.sampled_from(ALL_FIXTURES)))
+    node, key = raw, draw(st.sampled_from(sorted(raw)))
+    while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+        node = node[key]
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    edit = draw(st.sampled_from(EDITS))
+    if edit == "delete":
+        del node[key]
+    elif edit == "negate":
+        value = node[key]
+        node[key] = -value if type(value) is int and value else -1
+    else:
+        node[key] = copy.deepcopy(edit)
+    return raw
+
+
+@settings(max_examples=400)  # enough to reach each short section under each command
+@given(one_value_edits(), st.sampled_from(CHECK_COMMANDS))
+def test_no_defect_line_on_edited_fixtures(tmp_path_factory, raw, command):
+    # a bad instance is an input error or a verdict, never an engine defect
+    f = tmp_path_factory.getbasetemp() / "edited.json"
+    f.write_text(json.dumps(raw))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(f)])
+    assert code in (0, 1, 2)
+    assert re.search(r"error: [A-Z]\w* running ", err.getvalue()) is None, err.getvalue()
 
 
 def test_failure_carries_counterexample(capsys, tmp_path):

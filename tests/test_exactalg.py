@@ -98,28 +98,38 @@ def test_rref_idempotent_on_randoms():
             assert rref(r)[0] == r
 
 
+# 10^9 + 7 and 2^31 - 1 make rref reduce its active block every 9 and every
+# 2 unreduced updates
+RREF_PRIMES = (2, 3, 5, 10**9 + 7, 2**31 - 1)
+
+
+def of_rank(p, k, lower, upper, row_order, col_order) -> FpMatrix:
+    """L @ U with L = [I_k; lower] and U = [I_k | upper], rows and columns
+    then reordered: a matrix of rank exactly k."""
+    left = FpMatrix(p, np.vstack([np.eye(k, dtype=np.int64), lower]))
+    right = FpMatrix(p, np.hstack([np.eye(k, dtype=np.int64), upper]))
+    return FpMatrix(p, (left @ right).a[np.ix_(row_order, col_order)].reshape(len(row_order), len(col_order)))
+
+
 @st.composite
-def matrices_of_known_rank(draw, primes=(2, 3, 5, 2**31 - 1), square=False) -> tuple:
-    """(M, k): M = L @ U with L = rows x k and U = k x cols random factors,
-    each carrying an identity block so that M has rank exactly k, then rows
-    and columns shuffled.  Shapes include 0 rows or 0 columns, wide and
-    tall (unless ``square``), and k runs over every rank from 0 to full."""
+def matrices_of_known_rank(draw, primes=RREF_PRIMES, square=False) -> tuple:
+    """(M, k): M of rank exactly k from random factors, entries 0, p - 1 or
+    any.  Shapes include 0 rows or 0 columns, wide and tall (unless
+    ``square``), and k runs over every rank from 0 to full."""
     p = draw(st.sampled_from(primes))
     rows = draw(st.integers(0, 9))
     cols = rows if square else draw(st.integers(0, 9))
     k = draw(st.integers(0, min(rows, cols)))
-    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
 
     def factor(n, m):
         flat = draw(st.lists(entry, min_size=n * m, max_size=n * m))
         return np.array(flat, dtype=np.int64).reshape(n, m)
 
-    left = FpMatrix(p, np.vstack([np.eye(k, dtype=np.int64), factor(rows - k, k)]))
-    right = FpMatrix(p, np.hstack([np.eye(k, dtype=np.int64), factor(k, cols - k)]))
+    lower, upper = factor(rows - k, k), factor(k, cols - k)
     row_order = draw(st.permutations(range(rows)))
     col_order = draw(st.permutations(range(cols)))
-    product = (left @ right).a[np.ix_(row_order, col_order)]
-    return FpMatrix(p, product.reshape(rows, cols)), k
+    return of_rank(p, k, lower, upper, row_order, col_order), k
 
 
 @given(matrices_of_known_rank())
@@ -128,6 +138,36 @@ def matrices_of_known_rank(draw, primes=(2, 3, 5, 2**31 - 1), square=False) -> t
 @example((zeros(2, 0, 0), 0))
 def test_rref_matches_row_loop_oracle(case):
     m, k = case
+    got, want = rref(m), oracle_rref(m)
+    assert got[1] == want[1] == k
+    assert got == want
+
+
+FILLS = ("dense", "sparse", "top")
+
+
+@pytest.mark.parametrize("augmented", (False, True), ids=("M", "M|I"))
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("p", RREF_PRIMES)
+def test_large_rref_matches_row_loop_oracle(p, fill, augmented):
+    # M of 20 to 40 rows and columns and known rank, alone or as [M | I], from
+    # factors that are dense, sparse (about one entry in ten nonzero) or all
+    # p - 1.  All p - 1 is the worst case for unreduced growth: each update
+    # subtracts (p-1)^2 from the same entries.  Sparse pivot columns take the
+    # gathered update and dense ones the update of all rows.
+    rng = np.random.default_rng([p, FILLS.index(fill), augmented])
+    rows, cols = rng.integers(20, 41, 2)
+    k = int(rng.integers(rows // 2, min(rows, cols) + 1))
+
+    def factor(n, m):
+        if fill == "top":
+            return np.full((n, m), p - 1, dtype=np.int64)
+        f = rng.integers(0, p, (n, m))
+        return f * (rng.random((n, m)) < 0.1) if fill == "sparse" else f
+
+    m = of_rank(p, k, factor(rows - k, k), factor(k, cols - k), rng.permutation(rows), rng.permutation(cols))
+    if augmented:
+        m, k = FpMatrix(p, np.hstack([m.a, np.eye(rows, dtype=np.int64)])), rows
     got, want = rref(m), oracle_rref(m)
     assert got[1] == want[1] == k
     assert got == want
@@ -310,6 +350,23 @@ def test_inverse_reduces_in_place_and_owns_its_entries():
     assert x.a.base is None
     assert peak <= 4.05 * cells, peak / cells
     assert kept <= 1.05 * cells, kept / cells
+
+
+def test_dense_inverse_updates_in_place():
+    # a dense pivot column is cleared by one in-place subtraction of an outer
+    # product over the active block: the peak is I, [M | I] and that product,
+    # five n^2 arrays (6.5 when each update gathered, reduced and scattered
+    # the rows)
+    n = 256
+    m, cells = FpMatrix(5, np.random.default_rng(1).integers(0, 5, (n, n))), 8 * n * n
+    tracemalloc.start()
+    try:
+        x = inverse(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x is not None and m @ x == identity(5, n)
+    assert peak <= 5.3 * cells, peak / cells
 
 
 def test_only_exactalg_reduces():
