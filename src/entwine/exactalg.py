@@ -342,9 +342,10 @@ def rref(m: FpMatrix) -> tuple:
     [-k(p-1)^2, p), and the active block (columns right of the pivot) is
     reduced only when one more update could leave int64: every 2 updates
     at p = 2^31-1, every 9 at p = 10^9+7, never in practice at small p.
-    The columns not yet final are reduced once at the end.  The update is
-    one in-place rank-1 subtraction over all rows when most rows have a
-    nonzero in the pivot column, else over the gathered rows that do.
+    A searched column is final, so only the columns left unsearched when
+    the rows run out are reduced, once, at the end.  The update is one
+    in-place rank-1 subtraction over all rows, the pivot row's multiplier
+    set to 0, so it allocates no gathered copy of the rows.
     """
     return _rref(m.p, np.array(m.a, dtype=np.int64, order="C"))
 
@@ -355,13 +356,16 @@ def _rref(p: int, a: np.ndarray) -> tuple:
     last reduced, and while it is 0 every entry is a residue.  It reaches
     at most ``room`` = 2^63 // (p-1)^2, so no entry falls below -2^63.
     Columns left of ``c`` are final: a pivot column is exact once cleared,
-    and any other was reduced when it was searched."""
+    any other was reduced when it was searched, and later updates touch
+    only columns right of later pivots."""
     nrows, ncols = a.shape
     room = 2**63 // (p - 1) ** 2
     pivots = []
     r = k = 0
     for c in range(ncols):
         if r == nrows:
+            if k:
+                np.remainder(a[:, c:], p, out=a[:, c:])
             break
         col = a[:, c]
         if k:
@@ -385,20 +389,12 @@ def _rref(p: int, a: np.ndarray) -> tuple:
             if k == room:
                 np.remainder(a[:, c + 1:], p, out=a[:, c + 1:])
                 k = 0
-            if 2 * nonzero.size > nrows:
-                mult = col.copy()
-                mult[r] = 0
-                a[:, c:] -= np.outer(mult, row)
-            else:
-                rows = nonzero[nonzero != pr]
-                a[rows, c:] -= np.outer(col[rows], row)
+            mult = col.copy()
+            mult[r] = 0
+            a[:, c:] -= np.outer(mult, row)
             k += 1
         pivots.append(c)
         r += 1
-    else:
-        c = ncols
-    if k:
-        np.remainder(a[:, c:], p, out=a[:, c:])
     return FpMatrix._reduced(p, a), len(pivots), tuple(pivots)
 
 

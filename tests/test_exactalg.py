@@ -153,8 +153,7 @@ def test_large_rref_matches_row_loop_oracle(p, fill, augmented):
     # M of 20 to 40 rows and columns and known rank, alone or as [M | I], from
     # factors that are dense, sparse (about one entry in ten nonzero) or all
     # p - 1.  All p - 1 is the worst case for unreduced growth: each update
-    # subtracts (p-1)^2 from the same entries.  Sparse pivot columns take the
-    # gathered update and dense ones the update of all rows.
+    # subtracts (p-1)^2 from the same entries.
     rng = np.random.default_rng([p, FILLS.index(fill), augmented])
     rows, cols = rng.integers(20, 41, 2)
     k = int(rng.integers(rows // 2, min(rows, cols) + 1))
@@ -355,8 +354,7 @@ def test_inverse_reduces_in_place_and_owns_its_entries():
 def test_dense_inverse_updates_in_place():
     # a dense pivot column is cleared by one in-place subtraction of an outer
     # product over the active block: the peak is I, [M | I] and that product,
-    # five n^2 arrays (6.5 when each update gathered, reduced and scattered
-    # the rows)
+    # five n^2 arrays
     n = 256
     m, cells = FpMatrix(5, np.random.default_rng(1).integers(0, 5, (n, n))), 8 * n * n
     tracemalloc.start()
