@@ -410,11 +410,25 @@ def _solve(m: FpMatrix, b: FpMatrix) -> tuple:
     m._match(b)
     if m.rows != b.rows:
         raise ShapeError(f"row mismatch: {m.rows} vs {b.rows}")
-    red, _, pivots = _rref(m.p, np.hstack([m.a, b.a]))
+    return _solve_augmented(m, np.hstack([m.a, b.a]))
+
+
+def _solve_identity(m: FpMatrix) -> tuple:
+    """``_solve(m, I)``, with I written straight into the right half of a
+    preallocated [m | I] rather than built as a matrix of its own."""
+    aug = np.zeros((m.rows, m.cols + m.rows), dtype=np.int64)
+    aug[:, : m.cols] = m.a
+    np.fill_diagonal(aug[:, m.cols :], 1)
+    return _solve_augmented(m, aug)
+
+
+def _solve_augmented(m: FpMatrix, aug: np.ndarray) -> tuple:
+    """``(rank of m, X)`` from reducing the C-order [m | b] ``aug`` in place."""
+    red, _, pivots = _rref(m.p, aug)
     r = sum(1 for c in pivots if c < m.cols)
     if r < len(pivots):
         return r, None
-    x = np.zeros((m.cols, b.cols), dtype=np.int64)
+    x = np.zeros((m.cols, aug.shape[1] - m.cols), dtype=np.int64)
     x[list(pivots)] = red.a[:r, m.cols:]
     return r, FpMatrix._reduced(m.p, x)
 
@@ -430,7 +444,7 @@ def right_inverse(m: FpMatrix) -> Optional[FpMatrix]:
     Absence is a value, not an error: it doubles as the split-epimorphism
     test.  For square full-rank m this is the two-sided inverse.
     """
-    return solve(m, identity(m.p, m.rows))
+    return _solve_identity(m)[1]
 
 
 def left_inverse(m: FpMatrix) -> Optional[FpMatrix]:

@@ -26,9 +26,9 @@ import numpy as np
 from .exactalg import (
     FpMatrix,
     ShapeError,
-    _product,
-    _solve,
+    _solve_identity,
     contract,
+    fp_inv,
     identity,
     kernel_basis,
     kron,
@@ -62,12 +62,13 @@ __all__ = [
     "find_group_likes",
 ]
 
-# The character and group-like searches test every vector of F_p^dim, in
-# blocks; a larger p^dim is refused (UnsupportedError, exit 2) before any
-# block is built.
+# The character and group-like searches test the p^(dim-1) vectors of F_p^dim
+# on the unit hyperplane, in blocks, one law column at a time; a search with
+# p^dim over this cap is refused (UnsupportedError, exit 2) before any block
+# is built.
 _SEARCH_LIMIT = 200_000
-# Entries per d x d^2 block product (1 MB of int64): a block holds this many
-# entries divided by d^2 candidate rows.
+# Cells per block of candidate rows (1 MB of int64): a block holds at most
+# this many cells divided by dim rows.
 _SEARCH_BLOCK_CELLS = 2**17
 
 
@@ -186,7 +187,7 @@ def canonical_map_report(base: FpMatrix) -> GaloisReport:
     inverse from the one reduction solving M X = I, any other from its rank."""
     if base.rows != base.cols:
         return _galois_verdict(base, rank(base), None)
-    return _galois_verdict(base, *_solve(base, identity(base.p, base.rows)))
+    return _galois_verdict(base, *_solve_identity(base))
 
 
 def galois_map_beta(a: BimonoidData, want_antipode: bool = True) -> GaloisReport:
@@ -242,11 +243,18 @@ def galois_map_generalized(b: ComoduleAlgebraData, c: ComonoidData) -> GaloisRep
 
 def _multiplicative_rows(p: int, unit: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """Rows v of F_p^d with v.unit = 1 and v.mult = v(x)v, in lexicographic
-    order, for unit of shape (d, 1) and mult of shape (d, d^2).
+    order, for reduced unit of shape (d, 1) and mult of shape (d, d^2).
 
-    Candidates are the base-p digit rows of consecutive integers, most
-    significant digit first, tested a block at a time with one product per
-    condition.
+    The candidates are the p^(d-1) rows on the hyperplane v.unit = 1: with q
+    the last index where unit is nonzero, the other coordinates run over
+    F_p^(d-1) in lexicographic order and v_q = (1 - sum_{k<q} v_k unit_k) /
+    unit_q.  As v_q depends on the coordinates before it alone, the rows
+    come out in lexicographic order too.  A block takes its high coordinates
+    from the block number and lays its low ones out as a grid of p^n_low
+    rows.  Column (i, j) of the law reads v.mult[:, (i, j)] = v_i v_j; each
+    column keeps the rows that pass it, so after a few columns only the hits
+    remain.  Sums stay exact in int64: the cap p^d <= 200000 forces
+    (p-1)^2 d < 2^41, and each sum is reduced before it is multiplied.
     """
     d = unit.shape[0]
     total = p**d
@@ -255,14 +263,35 @@ def _multiplicative_rows(p: int, unit: np.ndarray, mult: np.ndarray) -> np.ndarr
             f"witness search space p^dim = {p}^{d} = {total} exceeds the "
             f"desk-scale cap of {_SEARCH_LIMIT}"
         )
-    weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    step = _SEARCH_BLOCK_CELLS // max(d * d, 1)
+    u = unit[:, 0]
+    nonzero = np.flatnonzero(u)
+    if nonzero.size == 0:
+        return np.zeros((0, d), dtype=np.int64)
+    q = int(nonzero[-1])
+    free = [k for k in range(d) if k != q]
+    n_low = 0  # the most low coordinates whose p^n_low rows fit in a block
+    while n_low < d - 1 and p ** (n_low + 1) * d <= _SEARCH_BLOCK_CELLS:
+        n_low += 1
+    high, low = free[: d - 1 - n_low], free[d - 1 - n_low :]
+    inv = fp_inv(int(u[q]), p)
+    columns = np.ascontiguousarray(mult.T)  # row i*d + j is column (i, j)
     hits = []
-    for start in range(0, total, step):
-        v = np.arange(start, min(start + step, total), dtype=np.int64)[:, None] // weights % p
-        v = v[_product(p, v, unit)[:, 0] == 1]
-        outer = (v[:, :, None] * v[:, None, :]).reshape(len(v), d * d) % p
-        hits.append(v[(_product(p, v, mult) == outer).all(axis=1)])
+    for block in range(p ** len(high)):
+        v = np.empty((p**n_low, d), dtype=np.int64)
+        grid = v.reshape((p,) * n_low + (d,))
+        for axis, k in enumerate(low):
+            grid[..., k] = np.arange(p).reshape((p,) + (1,) * (n_low - 1 - axis))
+        v[:, high] = [block // p**e % p for e in reversed(range(len(high)))]
+        v[:, q] = 0
+        v[:, q] = (1 - v @ u) % p * inv % p
+        for c in range(d * d):
+            i, j = divmod(c, d)
+            keep = (v @ columns[c] - v[:, i] * v[:, j]) % p == 0
+            if not keep.all():
+                v = v[keep]
+                if not len(v):
+                    break
+        hits.append(v)
     return np.concatenate(hits)
 
 

@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from entwine import exactalg, hopfmod
+from entwine import hopfmod
 from entwine.duoidal import braided_duoidal, galois_map_Kprime
 from entwine.exactalg import (
     FpMatrix,
@@ -41,11 +42,14 @@ from entwine.hopfmod import (
 from conftest import (
     BIMONOID_FIXTURES,
     HOPF_FIXTURES,
+    SMALL_PRIMES,
     SWEEP_PRIMES,
+    bimonoid_from_constants,
     chain_algebra,
     corpus_bimonoid,
     corpus_instance,
     draw_entries,
+    monoid_algebra,
     mutated_comodule_fixtures,
     mutated_fixtures,
     proved,
@@ -386,23 +390,70 @@ def test_searches_match_oracles_on_mutated_fixtures(a):
     _assert_searches_match_oracles(a)
 
 
+@st.composite
+def monoid_algebras_in_random_bases(draw) -> BimonoidData:
+    """F_p[M] at p in SMALL_PRIMES for M a chain under max, Z/a x a chain or
+    a cyclic group, of order 1-5, in its monoid basis or in a random one.
+    Such algebras have characters and group-likes to find.  In the monoid
+    basis the unit is zero in its last coordinate, and at p = 2 every
+    element of a chain is an idempotent whose law column holds for every
+    row; a random basis moves both the unit and the counit."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    shape = draw(st.sampled_from(("chain", "cyclic", "cyclic x chain")))
+    if shape == "cyclic x chain":
+        a = draw(st.integers(2, 5))
+        n = draw(st.integers(1, 5 // a))
+        elements = [(g, c) for g in range(a) for c in range(n)]
+        raw = monoid_algebra(p, elements, lambda x, y: ((x[0] + y[0]) % a, max(x[1], y[1])))
+    else:
+        n = draw(st.integers(1, 5))
+        raw = monoid_algebra(p, list(range(n)), max if shape == "chain" else lambda x, y: (x + y) % n)
+    (_, alg), = instance_from_dict(raw).roles_of("bimonoid")
+    if draw(st.booleans()):
+        return alg
+    d = alg.dim
+    basis = FpMatrix(p, draw_entries(draw, p, d, d))
+    back = inverse(basis)
+    assume(back is not None)
+    return bimonoid_from_constants(
+        p,
+        d,
+        (back @ alg.m @ kron(basis, basis)).a,
+        (back @ alg.e).a,
+        (kron(back, back) @ alg.delta @ basis).a,
+        (alg.eps @ basis).a,
+    )
+
+
+@given(monoid_algebras_in_random_bases())
+def test_searches_match_oracles_on_monoid_algebras_in_random_bases(a):
+    _assert_searches_match_oracles(a)
+
+
 def test_searches_test_candidates_in_blocks(monkeypatch):
-    a = _chain(7, 5)  # 7^5 = 16807 candidates per search
-    product = exactalg._product
-    calls = []
+    a = _chain(7, 5)  # 7^4 = 2401 candidates per search, on the unit hyperplane
+    empty = np.empty
+    blocks = []
 
-    def counted(*args):
-        calls.append(args)
-        return product(*args)
+    def recorded(shape, *args, **kwargs):
+        blocks.append(shape)
+        return empty(shape, *args, **kwargs)
 
-    monkeypatch.setattr(exactalg, "_product", counted)
-    monkeypatch.setattr(hopfmod, "_product", counted)
-    chars, likes = find_characters(a), find_group_likes(a.comonoid)
-    assert len(calls) < 100
-    # a chain under max: the characters are the indicators of its down-sets,
-    # the group-likes its elements
-    assert _tuples(chars) == [(1,) * k + (0,) * (5 - k) for k in range(1, 6)]
-    assert _tuples(likes) == [tuple(int(i == j) for j in range(5)) for i in reversed(range(5))]
+    monkeypatch.setattr(np, "empty", recorded)
+    for cells, count in ((hopfmod._SEARCH_BLOCK_CELLS, 1), (5 * 7**2, 7**2)):
+        monkeypatch.setattr(hopfmod, "_SEARCH_BLOCK_CELLS", cells)
+        found = []
+        for search, arg in ((find_characters, a), (find_group_likes, a.comonoid)):
+            blocks.clear()
+            found.append(search(arg))
+            assert len(blocks) == count
+            assert sum(rows for rows, _ in blocks) == 7**4
+            assert all(rows * dim <= cells for rows, dim in blocks)
+        chars, likes = found
+        # a chain under max: the characters are the indicators of its down-sets,
+        # the group-likes its elements
+        assert _tuples(chars) == [(1,) * k + (0,) * (5 - k) for k in range(1, 6)]
+        assert _tuples(likes) == [tuple(int(i == j) for j in range(5)) for i in reversed(range(5))]
 
 
 def test_search_over_the_cap_refused_before_any_block(monkeypatch):
@@ -412,11 +463,27 @@ def test_search_over_the_cap_refused_before_any_block(monkeypatch):
         raise AssertionError("a candidate block was built")
 
     with monkeypatch.context() as mp:
-        mp.setattr(np, "arange", no_block)
-        mp.setattr(hopfmod, "_product", no_block)
+        for builder in ("arange", "empty", "indices", "zeros"):
+            mp.setattr(np, builder, no_block)
         for search, arg in ((find_characters, a), (find_group_likes, a.comonoid)):
             with pytest.raises(UnsupportedError, match=r"5\^8 = 390625 .* 200000"):
                 search(arg)
+
+
+def test_search_at_the_cap_peaks_below_the_digit_row_search():
+    # p = 2, dim 17 in the group basis: the search that tested every digit row
+    # of F_2^17 peaked at 3.1 MiB (characters) and 1.6 MiB (group-likes)
+    # under tracemalloc; the hyperplane's blocks of 2^17 cells stay under both
+    a = _chain(2, 17)
+    for search, arg in ((find_characters, a), (find_group_likes, a.comonoid)):
+        tracemalloc.start()
+        try:
+            found = search(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 17
+        assert peak <= 1.5 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
