@@ -99,6 +99,15 @@ def _require_unit_lines(ctx: DuoidalCtx, what: str) -> None:
         raise UnsupportedError(f"{what} is implemented for contexts with 1-dimensional units")
 
 
+def _component_side(z: FpMatrix, legs) -> int:
+    """The side d_W*d_X*d_Y*d_Z of the zeta component z at legs, which must
+    be square of that side (else ShapeError, named by the legs)."""
+    n = prod(legs)
+    if z.shape != (n, n):
+        raise ShapeError(f"zeta at dims {tuple(legs)}: expected {(n, n)}, got {z.shape}")
+    return n
+
+
 def _natural_in(z: FpMatrix, legs, slot: int) -> bool:
     """Whether the zeta component z at legs (W, X, Y, Z) commutes with every
     map on leg ``slot``.  With the target legs (W, Y, X, Z) put back in
@@ -106,13 +115,26 @@ def _natural_in(z: FpMatrix, legs, slot: int) -> bool:
     since the commutant of End(V_slot) (x) 1 is 1 (x) End(rest): with the
     slot's target and source legs moved to the front,
     T[a, o, b, i] == delta_ab * T[0, o, 0, i]."""
-    n, d = prod(legs), legs[slot]
-    if z.shape != (n, n):
-        raise ShapeError(f"zeta at dims {tuple(legs)}: expected {(n, n)}, got {z.shape}")
+    _component_side(z, legs)
+    d = legs[slot]
     dw, dx, dy, dz = legs
     t = z.a.reshape(dw, dy, dx, dz, dw, dx, dy, dz)
     t = np.moveaxis(t, ((0, 2, 1, 3)[slot], 4 + slot), (0, 1)).reshape(d, d, -1)
     return np.array_equal(t, np.eye(d, dtype=np.int64)[:, :, None] * t[0, 0])
+
+
+def _scalar_of(z: FpMatrix, legs) -> int | None:
+    """c when the zeta component z at legs (W, X, Y, Z) is c*R, R the leg
+    reorder W(x)X(x)Y(x)Z -> W(x)Y(x)X(x)Z, else None.  Intersecting the
+    four slots' commutants (see _natural_in) leaves the scalars, so z is
+    natural in every slot exactly when z is such a multiple; c is then its
+    (0, 0) entry.  The target legs are put back in source order by a
+    reshape, so R is never built."""
+    n = _component_side(z, legs)
+    dw, dx, dy, dz = legs
+    back = z.a.reshape(dw, dy, dx, dz, n).transpose(0, 2, 1, 3, 4).reshape(n, n)
+    c = int(z.a[0, 0])
+    return c if np.array_equal(back, c * np.eye(n, dtype=np.int64)) else None
 
 
 def check_duoidal(ctx: DuoidalCtx, probe_dims=(1, 2)) -> Report:
@@ -121,10 +143,19 @@ def check_duoidal(ctx: DuoidalCtx, probe_dims=(1, 2)) -> Report:
 
     The units' laws are check_monoid's and check_comonoid's, so both units
     must be one-dimensional (else UnsupportedError).  Coherence checked:
-    naturality of zeta in each slot against every map on that slot (decided
-    as a leg factorisation, see _natural_in), the two associativity
-    nestings, and the four unit squares through Delta and mu.  Each zeta
-    component is read once per call.
+    naturality of zeta in each slot against every map on that slot, the two
+    associativity nestings, and the four unit squares through Delta and mu.
+    Each zeta component is read once per call and classified as it is read
+    (_scalar_of): it is natural in all four slots exactly when it is c*R,
+    R the leg reorder (W, X, Y, Z) -> (W, Y, X, Z), and _natural_in runs
+    only on a component that is not, to name its first failing slot.  When
+    the four components of a nesting are natural, each route is its two
+    scalars' product times one leg permutation, the same for both routes:
+    (U, V, W, X, Y, Z) -> (U, W, Y, V, X, Z) across the first product and
+    -> (U, X, V, Y, W, Z) across the second.  Such a nesting is decided as
+    c1*c2 == c3*c4 mod p; a nesting with a component that is not natural
+    is decided by composing both routes densely.  A wrong-shaped component
+    raises ShapeError under its legs.
     """
     dims = tuple(probe_dims)
     if not dims or min(dims) < 1:
@@ -137,17 +168,21 @@ def check_duoidal(ctx: DuoidalCtx, probe_dims=(1, 2)) -> Report:
     r.merge(check_comonoid(ComonoidData(di, ctx.Delta, ctx.tau)), prefix="(I, Delta, tau) ")
 
     @cache
-    def component(*legs) -> FpMatrix:
-        """zeta at probe dimensions, read off its action on the identity."""
-        return ctx.zeta(eye(prod(legs)), *legs)
+    def component(legs: tuple) -> tuple:
+        """zeta at probe dimensions, read off its action on the identity,
+        with its scalar (None when it is not natural)."""
+        z = ctx.zeta(eye(prod(legs)), *legs)
+        return z, _scalar_of(z, legs)
 
     # each generator yields the notes of failing tuples in probe order; a
     # flag reads only up to its first failure
     def naturality_faults():
         for legs in product(dims, repeat=4):
-            for slot in range(4):
-                if not _natural_in(component(*legs), legs, slot):
-                    yield f"dims {legs}, slot {slot}"
+            z, c = component(legs)
+            if c is None:
+                for slot in range(4):
+                    if not _natural_in(z, legs, slot):
+                        yield f"dims {legs}, slot {slot}"
 
     def nested(spec: str, outer: FpMatrix, inner: FpMatrix) -> FpMatrix:
         # r, c: the outer component's target, source; q, s: the inner one's;
@@ -155,20 +190,28 @@ def check_duoidal(ctx: DuoidalCtx, probe_dims=(1, 2)) -> Report:
         n, k = outer.rows, inner.rows
         return contract(spec, outer, inner, dict(r=n, c=n, q=k, s=k, t=n // k))
 
-    def nesting_faults():
+    def nesting_holds(spec1, outer1, inner1, spec2, outer2, inner2) -> bool:
         # each route composes two cached components, the inner one on the
         # first or last source (first product) or target (second) legs
+        (o1, c1), (i1, c2), (o2, c3), (i2, c4) = map(component, (outer1, inner1, outer2, inner2))
+        if None not in (c1, c2, c3, c4):
+            return c1 * c2 % p == c3 * c4 % p
+        return nested(spec1, o1, i1) == nested(spec2, o2, i2)
+
+    def nesting_faults():
         for du, dv, dw, dx, dy, dz in product(dims, repeat=6):
             at = (du, dv, dw, dx, dy, dz)
             # nesting across the first product: ((U*V)o(W*X))o(Y*Z)
-            route1 = nested("r|qt,q|s->r|st", component(du * dw, dv * dx, dy, dz), component(du, dv, dw, dx))
-            route2 = nested("r|tq,q|s->r|ts", component(du, dv, dw * dy, dx * dz), component(dw, dx, dy, dz))
-            if not route1 == route2:
+            if not nesting_holds(
+                "r|qt,q|s->r|st", (du * dw, dv * dx, dy, dz), (du, dv, dw, dx),
+                "r|tq,q|s->r|ts", (du, dv, dw * dy, dx * dz), (dw, dx, dy, dz),
+            ):
                 yield f"first-product nesting at dims {at}"
             # nesting across the second product: (U*V*W)o(X*Y*Z)
-            route3 = nested("ts|c,q|s->tq|c", component(du, dv * dw, dx, dy * dz), component(dv, dw, dy, dz))
-            route4 = nested("st|c,q|s->qt|c", component(du * dv, dw, dx * dy, dz), component(du, dv, dx, dy))
-            if not route3 == route4:
+            if not nesting_holds(
+                "ts|c,q|s->tq|c", (du, dv * dw, dx, dy * dz), (dv, dw, dy, dz),
+                "st|c,q|s->qt|c", (du * dv, dw, dx * dy, dz), (du, dv, dx, dy),
+            ):
                 yield f"second-product nesting at dims {at}"
 
     def unit_faults():
@@ -177,8 +220,8 @@ def check_duoidal(ctx: DuoidalCtx, probe_dims=(1, 2)) -> Report:
             squares = (
                 ("Delta right", ctx.zeta(kron(iwx, ctx.Delta), dw, dx, di, di)),
                 ("Delta left", ctx.zeta(kron(ctx.Delta, iwx), di, di, dw, dx)),
-                ("mu right", kron(iwx, ctx.mu) @ component(dw, dj, dx, dj)),
-                ("mu left", kron(ctx.mu, iwx) @ component(dj, dw, dj, dx)),
+                ("mu right", kron(iwx, ctx.mu) @ component((dw, dj, dx, dj))[0]),
+                ("mu left", kron(ctx.mu, iwx) @ component((dj, dw, dj, dx))[0]),
             )
             for name, got in squares:
                 if not got == iwx:

@@ -64,10 +64,9 @@ def equality_check(name: str, lhs: FpMatrix, rhs: FpMatrix) -> CheckResult:
             False,
             note=f"shape mismatch: {lhs.shape} mod {lhs.p} vs {rhs.shape} mod {rhs.p}",
         )
-    diff = np.argwhere(lhs.a != rhs.a)
-    if diff.size == 0:
+    if np.array_equal(lhs.a, rhs.a):
         return CheckResult(name, True)
-    i, j = (int(x) for x in diff[0])
+    i, j = (int(x) for x in np.argwhere(lhs.a != rhs.a)[0])
     return CheckResult(
         name,
         False,

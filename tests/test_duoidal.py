@@ -101,10 +101,24 @@ def test_vacuous_probe_dims_rejected(probe_dims):
         check_duoidal(braided_duoidal(3), probe_dims=probe_dims)
 
 
-def test_zeta_components_read_once_per_call():
+def counted_calls(monkeypatch, name):
+    """Record the calls duoidal makes to its module-level name."""
+    calls = []
+    f = getattr(duoidal, name)
+
+    def counted(*args):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(duoidal, name, counted)
+    return calls
+
+
+def test_zeta_components_read_once_per_call(monkeypatch):
     # 64 distinct components, each read once: 16 for naturality (the mu
     # unit squares reuse them) and 48 more for the nestings; plus 8 actions
-    # on the Delta unit squares
+    # on the Delta unit squares.  Every component is natural, so no nesting
+    # is composed densely
     base = braided_duoidal(5)
     calls = []
 
@@ -112,38 +126,107 @@ def test_zeta_components_read_once_per_call():
         calls.append(legs)
         return base.zeta(x, *legs)
 
+    contracts = counted_calls(monkeypatch, "contract")
     assert check_duoidal(dataclasses.replace(base, zeta=counted), probe_dims=(1, 2)).ok
     assert len(calls) == 72
+    assert contracts == []
 
 
 def test_nestings_build_no_kronecker_products(monkeypatch):
-    # 16 in the unit squares; the unit-structure rows are check_monoid's and
-    # check_comonoid's contractions, and the 256 nesting routes are products
-    # of two cached components
-    calls = []
-    kron = duoidal.kron
+    # 4 per pair of unit-square dims; the unit-structure rows are
+    # check_monoid's and check_comonoid's contractions, and each nesting of
+    # natural components is decided by its scalars, with no route composed
+    krons = counted_calls(monkeypatch, "kron")
+    contracts = counted_calls(monkeypatch, "contract")
+    for probe_dims in ((1, 2), (1, 2, 3)):
+        krons.clear()
+        assert check_duoidal(braided_duoidal(5), probe_dims=probe_dims).ok
+        assert len(krons) <= 4 * len(probe_dims) ** 2
+    assert contracts == []
 
-    def counted(*args):
-        calls.append(args)
-        return kron(*args)
 
-    monkeypatch.setattr(duoidal, "kron", counted)
-    assert check_duoidal(braided_duoidal(5), probe_dims=(1, 2)).ok
-    assert len(calls) <= 16
+def test_wrong_shaped_nesting_component_refused_under_its_legs():
+    # (4, 2, 1, 2) is read only by the first-product nesting at (1, 2)
+    base = braided_duoidal(3)
+
+    def zeta(x, *legs):
+        z = base.zeta(x, *legs)
+        return FpMatrix(3, z.a[:, :-1]) if legs == (4, 2, 1, 2) else z
+
+    ctx = dataclasses.replace(base, tag="short", zeta=zeta)
+    with pytest.raises(ShapeError, match=r"^zeta at dims \(4, 2, 1, 2\): expected \(16, 16\), got \(16, 15\)$"):
+        check_duoidal(ctx, probe_dims=(1, 2))
+
+
+def leg_reorder(p, legs):
+    """R: W(x)X(x)Y(x)Z -> W(x)Y(x)X(x)Z at legs, densely."""
+    return permute_legs(identity(p, prod(legs)), legs, (0, 2, 1, 3))
+
+
+@st.composite
+def zeta_components(draw):
+    """(p, legs, z, c): a candidate zeta component z at legs from {1, 2, 3}^4,
+    and c when z was built as c*R (else None): c*R with c in F_p, c*R with
+    one entry changed, the identity, another leg permutation, or random
+    entries."""
+    p = draw(st.sampled_from(SWEEP_PRIMES))
+    legs = tuple(draw(st.lists(st.integers(1, 3), min_size=4, max_size=4)))
+    n = prod(legs)
+    kind = draw(st.sampled_from(("scalar", "entry", "identity", "permutation", "random")))
+    c = draw(st.integers(0, p - 1))
+    if kind in ("scalar", "entry"):
+        z = c * np.array(leg_reorder(p, legs).a)
+        if kind == "entry":
+            z.flat[draw(st.integers(0, n * n - 1))] += draw(st.integers(1, p - 1))
+            c = None
+    elif kind == "identity":
+        z, c = np.eye(n, dtype=np.int64), None
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(4)).filter(lambda q: tuple(q) != (0, 2, 1, 3)))
+        z, c = np.array(permute_legs(identity(p, n), legs, perm).a), None
+    else:
+        z, c = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, p, (n, n)), None
+    return p, legs, FpMatrix(p, z), c
+
+
+@given(zeta_components())
+def test_scalar_classifier_is_naturality_in_all_four_slots(case):
+    p, legs, z, c = case
+    natural = all(duoidal._natural_in(z, legs, slot) for slot in range(4))
+    got = duoidal._scalar_of(z, legs)
+    assert (got is not None) == natural
+    if c is not None:
+        assert got == c
+    if natural:
+        assert got == z.entry(0, 0) and z == FpMatrix(p, got * leg_reorder(p, legs).a)
+
+
+def read_legs(draw, probe):
+    """Legs that check_duoidal reads at probe: a probe tuple, or the outer
+    component of a nesting, whose legs may be products of two probe dims."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.sampled_from(probe), min_size=4, max_size=4)))
+    du, dv, dw, dx, dy, dz = draw(st.lists(st.sampled_from(probe), min_size=6, max_size=6))
+    return draw(st.sampled_from((
+        (du * dw, dv * dx, dy, dz),
+        (du, dv, dw * dy, dx * dz),
+        (du, dv * dw, dx, dy * dz),
+        (du * dv, dw, dx * dy, dz),
+    )))
 
 
 @st.composite
 def faulty_contexts(draw, probes):
     """A braided context with one fault, and probe dimensions from probes:
-    zeta replaced at one probe tuple (by the identity, a scalar multiple or
-    one mutated entry), zeta shuffling the wrong legs, or Delta, mu or tau
-    scaled (0 zeroes it)."""
+    zeta replaced at one tuple it reads, a probe tuple or a nesting's outer
+    legs (by the identity, a scalar multiple or one mutated entry), zeta
+    shuffling the wrong legs, or Delta, mu or tau scaled (0 zeroes it)."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     probe = draw(st.sampled_from(probes))
     base = braided_duoidal(p)
     kind = draw(st.sampled_from(("component", "legs", "structure")))
     if kind == "component":
-        at = tuple(draw(st.lists(st.sampled_from(probe), min_size=4, max_size=4)))
+        at = read_legs(draw, probe)
         z = np.array(base.zeta(identity(p, prod(at)), *at).a)
         how = draw(st.sampled_from(("identity", "scalar", "entry")))
         if how == "identity":
@@ -189,6 +272,44 @@ def test_check_duoidal_matches_probe_map_oracle(case):
 @settings(max_examples=5)
 @given(faulty_contexts(((1, 2, 3),)))
 def test_check_duoidal_matches_probe_map_oracle_at_three_dims(case):
+    assert_rows_match_oracle(*case)
+
+
+@st.composite
+def scalar_contexts(draw, probes):
+    """A braided context whose zeta is scaled per legs tuple, c(legs) * the
+    middle transposition, so every component is natural and every nesting
+    is decided by its scalars: one scalar throughout (the nestings hold,
+    and the unit squares hold only for 1), a nonzero scalar but another at
+    one tuple read (the nestings through it fail), or a scalar drawn for
+    each tuple as it is read (0 included)."""
+    p = draw(st.sampled_from(SWEEP_PRIMES))
+    probe = draw(st.sampled_from(probes))
+    base = braided_duoidal(p)
+    how = draw(st.sampled_from(("constant", "one other", "per legs")))
+    k = draw(st.integers(how == "one other", p - 1))
+    scalars = {}
+    if how == "one other":
+        scalars[read_legs(draw, probe)] = (k + draw(st.integers(1, p - 1))) % p
+    data = draw(st.data()) if how == "per legs" else None
+
+    def zeta(x, *legs):
+        if legs not in scalars:
+            scalars[legs] = k if data is None else data.draw(st.integers(0, p - 1))
+        return FpMatrix(p, scalars[legs] * base.zeta(x, *legs).a)
+
+    return dataclasses.replace(base, tag=f"{how} scalars", zeta=zeta), probe
+
+
+@given(scalar_contexts(((1, 2), (2,))))
+def test_check_duoidal_matches_oracle_on_scalar_contexts(case):
+    assert_rows_match_oracle(*case)
+
+
+# as above, the (1, 2, 3) oracle's cost bounds the examples
+@settings(max_examples=5)
+@given(scalar_contexts(((1, 2, 3),)))
+def test_check_duoidal_matches_oracle_on_scalar_contexts_at_three_dims(case):
     assert_rows_match_oracle(*case)
 
 
