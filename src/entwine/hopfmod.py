@@ -88,6 +88,15 @@ class GaloisReport:
 
     Invariant: invertible iff the inverse is present iff the map is square of
     full rank; the antipode is present only when requested and invertible.
+    An inverse is proved at construction, by one of two routes:
+
+    * without ``factor``, base_map @ inverse is the identity;
+    * with ``factor = (f, (da, db, dc))``, f's report is proved again, and
+      base_map and inverse are f's map and inverse expanded along a C leg of
+      dim dc (``_along_c``): then base_map @ inverse is f's identity
+      expanded, the identity, with no product over base_map.  The rank is
+      dc times f's.  The expansion is checked in O(n^2): each of the dc
+      diagonal blocks equals f, and base_map has dc times f's nonzeros.
     """
 
     base_map: FpMatrix
@@ -97,15 +106,55 @@ class GaloisReport:
     antipode: Optional[FpMatrix] = None
     antipode_ok: Optional[bool] = None
     note: str = ""
+    factor: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         square = self.base_map.rows == self.base_map.cols
         full = square and self.rank == self.base_map.rows
         if self.invertible != full or self.invertible != (self.inverse is not None):
             raise ShapeError("inconsistent Galois report")
-        if self.inverse is not None:
-            if not (self.base_map @ self.inverse).is_identity():
-                raise ShapeError("inverse witness does not verify")
+        if not self._proved():
+            witness = self.inverse is not None
+            raise ShapeError("inverse witness does not verify" if witness else "inconsistent Galois report")
+
+    def _proved(self) -> bool:
+        """The inverse by a product, or map, rank and inverse by the factor."""
+        if self.factor is None:
+            return self.inverse is None or (self.base_map @ self.inverse).is_identity()
+        f, (da, db, dc) = self.factor
+        if not isinstance(f, GaloisReport):
+            return False
+        f.__post_init__()  # the factor's own proof, again
+        if self.rank != dc * f.rank or not _is_along_c(self.base_map, f.base_map, da, db, db, dc):
+            return False
+        if self.inverse is None:
+            return True
+        if f.inverse is None:  # only at dc = 0, where both maps are empty
+            return (self.base_map @ self.inverse).is_identity()
+        return _is_along_c(self.inverse, f.inverse, db, da, db, dc)
+
+
+def _along_c(m: FpMatrix, r1: int, c1: int, db: int, dc: int) -> FpMatrix:
+    """m (x) I_C with the C leg second: m[(x, y), (u, v)] delta_{c', c} as
+    [(x, c', y), (u, c, v)], for m of shape (r1 * db, c1 * db); zeros and
+    one scatter of the dc diagonal blocks."""
+    out = np.zeros((r1, dc, db, c1, dc, db), dtype=np.int64)
+    k = np.arange(dc)
+    out[:, k, :, :, k, :] = m.a.reshape(r1, db, c1, db)
+    return FpMatrix._reduced(m.p, out.reshape(r1 * dc * db, c1 * dc * db))
+
+
+def _is_along_c(big: FpMatrix, m: FpMatrix, r1: int, c1: int, db: int, dc: int) -> bool:
+    """Whether big is ``_along_c(m, r1, c1, db, dc)``, in O(n^2): each of the
+    dc diagonal blocks equals m, and big has dc times m's nonzeros."""
+    if min(r1, c1, db, dc) < 0 or big.p != m.p:
+        return False
+    if m.shape != (r1 * db, c1 * db) or big.shape != (r1 * dc * db, c1 * dc * db):
+        return False
+    blocks = np.diagonal(big.a.reshape(r1, dc, db, c1, dc, db), axis1=1, axis2=4)
+    return np.count_nonzero(big.a) == dc * np.count_nonzero(m.a) and bool(
+        (blocks == m.a.reshape(r1, db, c1, db, 1)).all()
+    )
 
 
 def check_hopf_module(m: HopfModuleData, ed: EntwiningData) -> Report:
@@ -170,16 +219,18 @@ def _antipode_checks(a: BimonoidData, s: FpMatrix) -> Report:
     return r
 
 
-def _galois_verdict(base: FpMatrix, r: int, inverse: Optional[FpMatrix]) -> GaloisReport:
+def _galois_verdict(
+    base: FpMatrix, r: int, inverse: Optional[FpMatrix], factor: Optional[tuple] = None
+) -> GaloisReport:
     """The report of a canonical map of rank r; ``inverse`` is read only when
     the map is square of full rank."""
     rows, cols = base.shape
     if rows != cols:
         note = f"dimension obstruction: source dim {cols} != target dim {rows}"
-        return GaloisReport(base, r, False, note=note)
+        return GaloisReport(base, r, False, note=note, factor=factor)
     if r < rows:
-        return GaloisReport(base, r, False, note=f"not Galois: rank {r}/{rows}")
-    return GaloisReport(base, rows, True, inverse)
+        return GaloisReport(base, r, False, note=f"not Galois: rank {r}/{rows}", factor=factor)
+    return GaloisReport(base, rows, True, inverse, factor=factor)
 
 
 def canonical_map_report(base: FpMatrix) -> GaloisReport:
@@ -217,7 +268,9 @@ def galois_map_generalized(b: ComoduleAlgebraData, c: ComonoidData) -> GaloisRep
     dimension obstruction.  By representability this single base matrix
     decides the "isomorphism at every object" condition.  As can is
     t (x) I_C up to leg order, it is decided on t: rank can = dim C * rank t,
-    and can^{-1} = t^{-1} (x) I_C.
+    and can^{-1} = t^{-1} (x) I_C.  Both are written by one scatter of
+    t's blocks, and the report names t's as its factor, so can's inverse is
+    proved through t's (no product of can's size is formed).
     """
     require("bimonoid", b.over.axioms)
     require("comodule algebra", b.axioms)
@@ -225,16 +278,10 @@ def galois_map_generalized(b: ComoduleAlgebraData, c: ComonoidData) -> GaloisRep
     # t[(a, y), (b, b')] = sum rho[(a, b0), b] m_B[y, b0, b']
     t = contract("ak|b,y|kv->ay|bv", b.rho, b.algebra.m, dict(a=da, k=db, b=db, y=db, v=db))
     g = canonical_map_report(t)
-
-    def along_c(m: FpMatrix, r1: int, c1: int) -> FpMatrix:
-        # m[(x, y), (u, v)] delta_{c', c} as [(x, c', y), (u, c, v)], the C leg second
-        out = m.a.reshape(r1, 1, db, c1, 1, db) * np.eye(dc, dtype=np.int64).reshape(1, dc, 1, 1, dc, 1)
-        return FpMatrix._reduced(m.p, out.reshape(r1 * dc * db, c1 * dc * db))
-
-    can = along_c(t, da, db)
+    can = _along_c(t, da, db, db, dc)
     # with dim C = 0, can is the empty map, its own inverse
-    inverse = along_c(g.inverse, db, da) if g.invertible else can if dc == 0 else None
-    return _galois_verdict(can, dc * g.rank, inverse)
+    inverse = _along_c(g.inverse, db, da, db, dc) if g.invertible else can if dc == 0 else None
+    return _galois_verdict(can, dc * g.rank, inverse, factor=(g, (da, db, dc)))
 
 
 # ---------------------------------------------------------------------------

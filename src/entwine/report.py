@@ -115,20 +115,29 @@ class Report:
 # json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True), one encoder for all calls
 _dump = json.JSONEncoder(sort_keys=True, indent=2).encode
 _BLOCK = 1 << 14  # entries per block of text that _joined writes
+_PREFIX = 512  # rows of a block whose separator is written by broadcast
 
 
 def _joined(flat: np.ndarray, sep: str):
     """``sep.join(map(str, flat))`` for entries in [0, 2^31), in blocks of text.
     A block is a uint8 grid, one row per entry: the separator and as many
     decimal digits as the block's largest entry has (divmod by 10 on a uint32
-    copy), leading zeros masked out, decoded from the grid's buffer."""
+    copy), leading zeros masked out, decoded from the grid's buffer.  The
+    separator goes into the first ``_PREFIX`` rows by one broadcast, and
+    that prefix is copied forward by doubling slices of the flat grid (the
+    copied digit columns are written over afterwards)."""
     head = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
     for start in range(0, flat.size, _BLOCK):
         v = flat[start:start + _BLOCK].astype(np.uint32)
         top = int(v.max())
         grid = np.empty((v.size, head.size + len(str(top))), dtype=np.uint8)
         keep = np.ones(grid.shape, dtype=bool) if top > 9 else None
-        grid[:, :head.size] = head
+        grid[:_PREFIX, :head.size] = head
+        cells, done = grid.reshape(-1), _PREFIX * grid.shape[1]
+        while done < cells.size:
+            step = min(done, cells.size - done)
+            cells[done:done + step] = cells[:step]
+            done += step
         for col in range(grid.shape[1] - 1, head.size, -1):
             grid[:, col] = v % 10 + 48
             v //= 10

@@ -581,6 +581,30 @@ def test_render_json_writes_entries_across_blocks(case):
         assert render_json(payload) == want
 
 
+@given(blocked_matrices(), st.integers(2, 5), st.integers(0, 4))
+@example((12, FpMatrix(2**31 - 1, [[0, 9, 10, 99, 100, 2**31 - 2]] * 2)), 5, 0)
+def test_render_json_copies_the_separator_prefix_forward(case, ratio, short):
+    # the writer broadcasts the separator into _PREFIX rows of a block and
+    # doubles that prefix through the rest; here a block holds 2 to 5
+    # prefixes, whole or not (short takes rows off the prefix)
+    block, m = case
+    payload = {"m": m, "deep": {"er": m}}
+    want = json.dumps(plain(payload), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    prefix = max((block - short) // ratio, 1)
+    with mock.patch.object(report, "_BLOCK", block), mock.patch.object(report, "_PREFIX", prefix):
+        assert render_json(payload) == want
+
+
+@pytest.mark.parametrize("p", (5, 101, 65537, 2**31 - 1))
+@pytest.mark.parametrize("n", (513, 1024, 1536, 2560, 2561))
+def test_render_json_copies_the_real_prefix_forward(p, n):
+    # entries of a block past _PREFIX = 512, up to five times it and over
+    a = np.random.default_rng([p, n]).integers(0, p, (1, n))
+    a[0, -1] = p - 1  # the widest entry, last
+    m = FpMatrix(p, a)
+    assert render_json({"m": m}) == json.dumps(plain({"m": m}), sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("p", (5, 2**31 - 1))
 def test_render_json_peaks_near_twice_its_text(p):
     # the text exists twice at the peak, in blocks and joined; a writer that
@@ -618,13 +642,11 @@ def test_malformed_meta_labels_ignored(tmp_path, capsys, labels):
 EDITS = ("delete", "negate", "x", [], {}, None, 2**70, 0.5, True)
 
 
-@st.composite
-def one_value_edits(draw) -> dict:
-    """A shipped fixture with one value anywhere in its JSON deleted,
-    negated, or replaced by a string, list, object, null, 2^70, a float or
-    a boolean.  The path is drawn one level at a time, so the short
-    sections are reached as often as the long entry lists."""
-    raw = _fixture_raw(draw(st.sampled_from(ALL_FIXTURES)))
+def edit_one_value(draw, raw: dict) -> None:
+    """Delete, negate, or replace by a string, list, object, null, 2^70, a
+    float or a boolean one value anywhere in raw.  The path is drawn one
+    level at a time, so the short sections are reached as often as the
+    long entry lists."""
     node, key = raw, draw(st.sampled_from(sorted(raw)))
     while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
         node = node[key]
@@ -637,20 +659,47 @@ def one_value_edits(draw) -> dict:
         node[key] = -value if type(value) is int and value else -1
     else:
         node[key] = copy.deepcopy(edit)
+
+
+@st.composite
+def one_value_edits(draw) -> dict:
+    """A shipped fixture with one value anywhere in its JSON edited."""
+    raw = _fixture_raw(draw(st.sampled_from(ALL_FIXTURES)))
+    edit_one_value(draw, raw)
     return raw
 
 
-@settings(max_examples=400)  # enough to reach each short section under each command
-@given(one_value_edits(), st.sampled_from(CHECK_COMMANDS))
-def test_no_defect_line_on_edited_fixtures(tmp_path_factory, raw, command):
+@st.composite
+def two_value_edits(draw) -> dict:
+    """A shipped fixture with two values edited, the second in what the
+    first left."""
+    raw = _fixture_raw(draw(st.sampled_from(ALL_FIXTURES)))
+    edit_one_value(draw, raw)
+    edit_one_value(draw, raw)
+    return raw
+
+
+def assert_no_defect_line(directory, raw, command):
     # a bad instance is an input error or a verdict, never an engine defect
-    f = tmp_path_factory.getbasetemp() / "edited.json"
+    f = directory / "edited.json"
     f.write_text(json.dumps(raw))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, str(f)])
     assert code in (0, 1, 2)
     assert re.search(r"error: [A-Z]\w* running ", err.getvalue()) is None, err.getvalue()
+
+
+@settings(max_examples=400)  # enough to reach each short section under each command
+@given(one_value_edits(), st.sampled_from(CHECK_COMMANDS))
+def test_no_defect_line_on_edited_fixtures(tmp_path_factory, raw, command):
+    assert_no_defect_line(tmp_path_factory.getbasetemp(), raw, command)
+
+
+@settings(max_examples=200)
+@given(two_value_edits(), st.sampled_from(CHECK_COMMANDS))
+def test_no_defect_line_on_fixtures_with_two_edits(tmp_path_factory, raw, command):
+    assert_no_defect_line(tmp_path_factory.getbasetemp(), raw, command)
 
 
 def test_failure_carries_counterexample(capsys, tmp_path):

@@ -60,6 +60,37 @@ def test_entries_always_reduced():
     assert m.a.tolist() == [[2, 2], [0, 1]]
 
 
+@pytest.mark.parametrize(
+    "entries, identity_",
+    (
+        (np.zeros((0, 0)), True),
+        ([[1]], True),
+        ([[0]], False),
+        ([[4]], False),  # -1 mod 5: a diagonal of nonzeros that are not 1
+        (np.eye(3), True),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], False),  # a permutation: n ones, off the diagonal
+        ([[1, 0, 0], [0, 1, 3], [0, 0, 1]], False),  # the identity and one more entry
+        (np.eye(2, 3), False),
+        (np.zeros((0, 2)), False),
+    ),
+    ids=("0x0", "1x1", "zero", "minus-one", "eye", "permutation", "eye-plus-one", "2x3", "0x2"),
+)
+def test_is_identity_edge_cases(entries, identity_):
+    m = FpMatrix(5, entries)
+    assert m.is_identity() == identity_ == (m.rows == m.cols and np.array_equal(m.a, np.eye(m.rows)))
+
+
+def test_is_identity_builds_no_square_temporary():
+    m = identity(5, 1024)
+    tracemalloc.start()
+    try:
+        assert m.is_identity()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 // 8, peak  # an eye would take 1024^2 int64s
+
+
 def test_large_prime_product_reduced_before_int64():
     # the dot product 3*(p-1)^2 exceeds 2^63, so the object-dtype path runs
     p = 2**31 - 1

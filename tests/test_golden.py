@@ -16,7 +16,10 @@ Every fixture has matrices of at most 16x16, so ``GOLDEN_LARGE`` adds
 ``make-instance regular-comodule --p 5 --order 16``: its instance text, and
 ``galois-generalized`` on it, a 256x256 canonical map and its inverse.
 Those digests were recorded with the engine as it was before the spliced
-JSON renderer and the array-level row elimination went in.
+JSON renderer and the array-level row elimination went in.  Every other
+instance has a one-dimensional C, so ``GOLDEN_WIDE`` pins
+``galois-generalized`` and ``check-comodule-algebra`` with C of 3 and 8
+group-likes, recorded before can's report was built from t's.
 """
 
 import contextlib
@@ -25,6 +28,7 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from entwine.cli import CHECK_COMMANDS, main
@@ -375,6 +379,80 @@ def test_large_canonical_map_matches_golden_digest(tmp_path):
     assert main(list(LARGE + ("--out", str(tmp_path / (LARGE_NAME + ".json"))))) == 0
     got = outputs(str(tmp_path), LARGE_NAME, "galois-generalized")
     assert got == GOLDEN_LARGE["galois-generalized"]
+
+
+def _triangular(k: int, p: int) -> tuple:
+    """(P, Q): the basis c_j = g_0 + ... + g_j as columns, and its inverse."""
+    back = np.eye(k, dtype=np.int64) - np.eye(k, k, 1, dtype=np.int64)
+    return np.triu(np.ones((k, k), dtype=np.int64)), back % p
+
+
+def _payload(t: np.ndarray, rows: int) -> dict:
+    return {"rows": rows, "cols": t.size // rows, "entries": t.reshape(-1).tolist()}
+
+
+def write_wide(kind: str, k: int, directory: str) -> str:
+    """``make-instance {kind} --p 5 --order 4`` with C replaced by k
+    group-likes g_i, and C and a four-dimensional B each rewritten in the
+    basis c_j = g_0 + ... + g_j; returns the instance's name."""
+    p = 5
+    raw = builders[kind](p, 4)
+    maps = raw["maps"]
+    del maps["one"]  # C was its last reader
+    P, Q = _triangular(k, p)
+    delta = np.einsum("ai,bi,ic->abc", Q, Q, P) % p  # delta g_i = g_i (x) g_i
+    maps["C_delta"], maps["C_eps"] = _payload(delta, k * k), _payload(P.sum(axis=0) % p, 1)
+    raw["objects"]["C"] = k
+    raw["roles"]["C"] = {"kind": "comonoid", "object": "C", "delta": "C_delta", "eps": "C_eps"}
+    raw["meta"].setdefault("labels", {})["C"] = [f"c{j}" for j in range(k)]
+    if kind == "regular-comodule":
+        P, Q = _triangular(4, p)
+        m = np.array(maps["m"]["entries"]).reshape(4, 4, 4)
+        rho = np.array(maps["delta"]["entries"]).reshape(4, 4, 4)  # [a, b', b]
+        maps["B_m"] = _payload(np.einsum("ax,xyz,yb,zc->abc", Q, m, P, P) % p, 4)
+        maps["B_e"] = _payload(Q @ np.array(maps["e"]["entries"]) % p, 4)
+        maps["rho"] = _payload(np.einsum("by,ayz,zc->abc", Q, rho, P) % p, 16)
+        raw["roles"]["B"].update(m="B_m", e="B_e", rho="rho")
+    else:
+        maps["one"] = {"rows": 1, "cols": 1, "entries": [1]}  # B's m and e
+    name = f"{kind}_c{k}_f5"
+    with open(os.path.join(directory, name + ".json"), "w", encoding="utf-8") as fh:
+        json.dump(raw, fh, sort_keys=True, indent=2)
+    return name
+
+
+# (kind, dim C, command) -> (exit code, json digest, human digest); C is
+# wider than the line, so can = t (x) I_C has dim C diagonal copies of t
+GOLDEN_WIDE = {
+    ("regular-comodule", 3, "check-comodule-algebra"): (0, "53c7c44abc174a2a2fdc7f09389b7ff7628137fdc455fbdc9b381d9bce624b99",
+        "fa4234b1c746abbddc5d8c97687144507e6373101198ca8bcd77721f8c78b165"),
+    ("regular-comodule", 3, "galois-generalized"): (0, "3883aaf54eaa2b4afb601fe8f687bdf6e43832a0363b2d45428e00442f1df209",
+        "9b06dfd00d63448bee9add1a6bad9a3af830975b0a4cb4cfee106692b7542841"),
+    ("regular-comodule", 8, "check-comodule-algebra"): (0, "c76fc4cebefca9f9dc0f7882dbf54298ae83b25fbbe8115d1cb973105717a44a",
+        "e7dd0f6adaecbe0c751235b9d88dc54e915f1dca1b59ea860f1041b42af5afac"),
+    ("regular-comodule", 8, "galois-generalized"): (0, "621a0518ade95484592da9aafd9cac26409335121bde66bedb3730dd04f100c3",
+        "7410252a3fcfa2823819b5eeccee5992024d494e673b71a827b05bcac77a88ba"),
+    ("trivial-coaction", 3, "check-comodule-algebra"): (0, "6578f8d5bed8a6269a05e9411031ce7bac5b3b0f7cb7780238a3170c82b3b555",
+        "084b26826905ad6dd9d5985c533d9f18b6ec4db2d973a768b17fa119bf17aba1"),
+    ("trivial-coaction", 3, "galois-generalized"): (1, "0afa2e078c0cda6096e5e78a32a30fb9b4fd854abc227653ad460621abcbfdf9",
+        "cf136ef62d6bfd9b572a1acd6ae87aad62ab51b3c85531bedbd18dbdacee75dc"),
+    ("trivial-coaction", 8, "check-comodule-algebra"): (0, "765f239f1c1bd30e295bdfe58691ecf5bbbfb05b1232feb33c403a549e461adb",
+        "c10e5969817d2443ab1ac4cee3d0e0924c2d8240aa5339e4abaea59d18b5df00"),
+    ("trivial-coaction", 8, "galois-generalized"): (1, "9350ddec8cb646f8aec6877675aa7cbb976287245747ffb218a61d7897b8db7f",
+        "90f1731e04c26b161bc1d0a1d9bd293145191e0e55f71e2ad1dc902261f0c807"),
+}
+
+
+@pytest.mark.parametrize("kind, k, command", sorted(GOLDEN_WIDE))
+def test_wide_coalgebra_output_matches_golden_digest(tmp_path, kind, k, command):
+    name = write_wide(kind, k, str(tmp_path))
+    assert outputs(str(tmp_path), name, command) == GOLDEN_WIDE[(kind, k, command)]
+
+
+def test_wide_golden_table_covers_both_coactions_and_widths():
+    kinds, widths = ("regular-comodule", "trivial-coaction"), (3, 8)
+    commands = ("check-comodule-algebra", "galois-generalized")
+    assert set(GOLDEN_WIDE) == {(x, k, c) for x in kinds for k in widths for c in commands}
 
 
 # make-instance for every kind at p = 2 and 5, orders 0, 1 and 5: exit code

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from entwine import hopfmod
+from entwine import exactalg, hopfmod
 from entwine.duoidal import braided_duoidal, galois_map_Kprime
 from entwine.exactalg import (
     FpMatrix,
@@ -17,7 +17,7 @@ from entwine.exactalg import (
     solve,
     swap_matrix,
 )
-from entwine.instances import instance_from_dict
+from entwine.instances import build_instance, instance_from_dict
 from entwine.report import PreconditionError, UnsupportedError
 from entwine.structures import (
     BimonoidData,
@@ -56,7 +56,14 @@ from conftest import (
     random_comodule_algebras,
     random_structure_constants,
 )
-from oracles import oracle_beta, oracle_can, oracle_characters, oracle_group_likes, oracle_pentagon
+from oracles import (
+    oracle_beta,
+    oracle_can,
+    oracle_characters,
+    oracle_group_likes,
+    oracle_pentagon,
+    oracle_rref,
+)
 
 
 def regular_module(a: BimonoidData) -> HopfModuleData:
@@ -312,16 +319,136 @@ def can_cases(draw, comodule_algebras):
     return b, ComonoidData(dc, FpMatrix(p, draw_entries(draw, p, dc * dc, dc)), FpMatrix(p, draw_entries(draw, p, 1, dc)))
 
 
+def assert_can_report_matches_oracle(b, c):
+    """can is the oracle's map, of the oracle's rank; invertible exactly at
+    full rank, with an inverse that the oracle's map times it, summed in
+    Python integers, takes to the identity."""
+    g, want = galois_map_generalized(b, c), oracle_can(b, c.dim)
+    assert g.base_map == FpMatrix(c.p, want)
+    r = oracle_rref(FpMatrix(c.p, want))[1]
+    assert g.rank == r
+    assert g.invertible == (want.shape[0] == want.shape[1] == r)
+    if g.invertible:
+        product = want.astype(object).dot(g.inverse.a.astype(object)) % c.p
+        assert (product == np.eye(len(want), dtype=np.int64)).all()
+
+
 @given(can_cases(random_comodule_algebras(SWEEP_PRIMES)))
 def test_generalized_can_matches_oracle_on_random_comodule_algebras(case):
-    b, c = case
-    assert galois_map_generalized(b, c).base_map == FpMatrix(c.p, oracle_can(b, c.dim))
+    assert_can_report_matches_oracle(*case)
 
 
 @given(can_cases(mutated_comodule_fixtures()))
 def test_generalized_can_matches_oracle_on_mutated_fixtures(case):
-    b, c = case
-    assert galois_map_generalized(b, c).base_map == FpMatrix(c.p, oracle_can(b, c.dim))
+    assert_can_report_matches_oracle(*case)
+
+
+def group_likes(p: int, dc: int) -> ComonoidData:
+    """The coalgebra on dc group-like basis elements."""
+    delta = np.zeros((dc * dc, dc), dtype=np.int64)
+    delta[np.arange(dc) * (dc + 1), np.arange(dc)] = 1
+    return ComonoidData(dc, FpMatrix(p, delta), FpMatrix(p, np.ones((1, dc), dtype=np.int64)))
+
+
+def wide_can(name: str, dc: int = 3) -> GaloisReport:
+    (_, b), = corpus_instance(name).roles_of("comodule-algebra")
+    return galois_map_generalized(b, group_likes(b.algebra.p, dc))
+
+
+def bumped(m: FpMatrix, i: int, j: int) -> FpMatrix:
+    a = np.array(m.a)
+    a[i, j] += 1
+    return FpMatrix(m.p, a)
+
+
+def test_generalized_report_names_its_factor():
+    g = wide_can("regular_comodule_f3")
+    f, dims = g.factor
+    assert dims == (2, 2, 3) and g.invertible and f.invertible
+    assert g.base_map == hopfmod._along_c(f.base_map, 2, 2, 2, 3)
+    assert g.inverse == hopfmod._along_c(f.inverse, 2, 2, 2, 3)
+    assert g.rank == 3 * f.rank == 12
+
+
+# (row, col) of a nonzero entry in can's first diagonal block, and of an
+# entry off its diagonal blocks, which is zero
+ON_BLOCK, OFF_BLOCK = (0, 0), (0, 2)
+
+
+@pytest.mark.parametrize("at", (ON_BLOCK, OFF_BLOCK), ids=("on-block", "off-block"))
+def test_factor_route_refuses_a_forged_inverse(at):
+    g = wide_can("regular_comodule_f3")
+    with pytest.raises(ShapeError, match="inverse witness does not verify"):
+        GaloisReport(g.base_map, g.rank, True, bumped(g.inverse, *at), factor=g.factor)
+
+
+@pytest.mark.parametrize("at", (ON_BLOCK, OFF_BLOCK), ids=("on-block", "off-block"))
+def test_factor_route_refuses_a_forged_map(at):
+    g = wide_can("regular_comodule_f3")
+    with pytest.raises(ShapeError, match="inverse witness does not verify"):
+        GaloisReport(bumped(g.base_map, *at), g.rank, True, g.inverse, factor=g.factor)
+    obstructed = wide_can("trivial_coaction_f3")
+    with pytest.raises(ShapeError, match="inconsistent Galois report"):
+        dataclasses.replace(obstructed, base_map=bumped(obstructed.base_map, *at))
+
+
+def test_factor_route_refuses_a_moved_entry():
+    # the nonzero count stays, but a diagonal block no longer equals t
+    g = wide_can("regular_comodule_f3")
+    a = np.array(g.inverse.a)
+    j = int(np.flatnonzero(a[0, :2])[0])  # the one nonzero of row 0 in block 0
+    a[0, j], a[0, 2] = 0, a[0, j]
+    with pytest.raises(ShapeError, match="inverse witness does not verify"):
+        GaloisReport(g.base_map, g.rank, True, FpMatrix(g.inverse.p, a), factor=g.factor)
+
+
+def test_factor_route_refuses_a_factor_with_a_forged_inverse():
+    g = wide_can("regular_comodule_f3")
+    f, dims = g.factor
+    forged = dataclasses.replace(f)
+    object.__setattr__(forged, "inverse", bumped(f.inverse, 0, 0))
+    inverse = hopfmod._along_c(forged.inverse, 2, 2, 2, 3)
+    with pytest.raises(ShapeError, match="inverse witness does not verify"):
+        GaloisReport(g.base_map, g.rank, True, inverse, factor=(forged, dims))
+    with pytest.raises(ShapeError, match="inverse witness does not verify"):
+        GaloisReport(g.base_map, g.rank, True, g.inverse, factor=("not a report", dims))
+
+
+@pytest.mark.parametrize("dims", ((2, 2, 2), (2, 2, 4), (4, 1, 3), (1, 4, 3), (2, 2, -3)))
+def test_factor_route_refuses_leg_dims_that_do_not_factor_the_shape(dims):
+    g = wide_can("regular_comodule_f3")
+    with pytest.raises(ShapeError, match="inverse witness does not verify"):
+        GaloisReport(g.base_map, g.rank, True, g.inverse, factor=(g.factor[0], dims))
+    obstructed = wide_can("trivial_coaction_f3")
+    with pytest.raises(ShapeError, match="inconsistent Galois report"):
+        dataclasses.replace(obstructed, factor=(obstructed.factor[0], dims))
+
+
+def test_factor_route_refuses_a_rank_off_the_factor():
+    g = wide_can("trivial_coaction_f3")
+    assert g.rank == 3 * g.factor[0].rank == 3
+    with pytest.raises(ShapeError, match="inconsistent Galois report"):
+        dataclasses.replace(g, rank=2)
+
+
+def test_generalized_products_stay_at_the_factor_size(monkeypatch):
+    # with dim C = 3 no product, by @ or by contract, sees an operand of
+    # can's side: every operand side is at most dim A * dim B
+    (_, b), = build_instance("regular-comodule", 5, 4).roles_of("comodule-algebra")
+    b.axioms, b.over.axioms
+    shapes = []
+
+    def recorded(real):
+        def call(*args):
+            shapes.extend(x.shape for x in args if hasattr(x, "shape"))
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(exactalg, "_product", recorded(exactalg._product))
+    monkeypatch.setattr(hopfmod, "contract", recorded(hopfmod.contract))
+    g = galois_map_generalized(b, group_likes(5, 3))
+    assert g.invertible and g.base_map.shape == (48, 48)
+    assert shapes and max(map(max, shapes)) <= 16, shapes
 
 
 def test_generalized_can_swap_identity_needs_commutativity():
